@@ -262,3 +262,134 @@ def test_cli_file_round_trip_small_n(tmp_path, n):
     out = json.loads(run("analyze", p).stdout)
     assert out["n"] == n
     assert out["weight"] == f.weight
+
+
+# -- byte identity of every construction's output ------------------------
+
+
+def _digest_inputs(tmp_path):
+    """Fixed inputs for every construction, drawn as in the tests above."""
+    paths = {"mm4": put(tmp_path, "mm4.tt", MM4)}
+    rng = XorShift64Star(77)
+    bent = [*random_mm_bent_triple(4, rng), *random_mm_bent_triple(4, rng)]
+    for name, f in zip(("f1", "f2", "f3", "g1", "g2", "g3"), bent):
+        paths[name] = put(tmp_path, name + ".tt", f)
+    from bentkit.rand import random_derivative_triple, random_resilient_triple
+
+    rng = XorShift64Star(33)
+    res = [*random_resilient_triple(3, 0, rng), *random_resilient_triple(3, 0, rng)]
+    for i, f in enumerate(res):
+        paths[f"r{i}"] = put(tmp_path, f"r{i}.tt", f)
+    rng = XorShift64Star(100)
+    triple, _ = random_derivative_triple(6, rng)
+    heavy = [v for v in range(32) if bin(v).count("1") >= 2]
+    seeds = []
+    for _ in range(2):
+        rng.shuffle(heavy)
+        seeds.append(mm_function(PermutationMap(heavy[:8], r=5), random_function(3, rng)))
+    for name, f in [("t1", triple.f1), ("t2", triple.f2), ("t3", triple.f3),
+                    ("p", seeds[0]), ("q", seeds[1])]:
+        paths[name] = put(tmp_path, name + ".tt", f)
+    return paths
+
+
+def _param(tmp_path, obj):
+    p = tmp_path / "digest-params.json"
+    p.write_text(json.dumps(obj))
+    return p
+
+
+DIGEST_CASES = {
+    "direct-sum": (
+        lambda d, t: ["--f", d["mm4"], "--g", d["mm4"]],
+        "999f7e25a2c40fc9f37a7c294bb48b0d60067d0899567d0ea7b2d471906142d7",
+    ),
+    "indirect-sum": (
+        lambda d, t: ["--f1", d["f1"], "--f2", d["f2"], "--g1", d["g1"], "--g2", d["g2"]],
+        "e81e9d23dbd04d62e0870fd5a5f5a532d7e9c94673c702fac0293ccc22d21a95",
+    ),
+    "restricted-indirect-sum": (
+        lambda d, t: ["--f", d["mm4"], "--mu", 4, "--g", d["mm4"], "--rho", 4,
+                      "--variant", "01"],
+        "037706b37ac9ff25fc30859971929aa848fbdea8d6ab51af2e5902db9483993a",
+    ),
+    "mm": (
+        lambda d, t: ["--param-file", _param(t, {"phi": "random", "k": 3, "u": "random"}),
+                      "--seed", 42],
+        "e7828602ee04c8869b9a4d13faa013e64f41659b3f29cf0bb71b1437c54aef98",
+    ),
+    "psap": (
+        lambda d, t: ["--param-file", _param(t, {"m": 3, "theta": [0, 0, 1, 1, 0, 1, 0, 1]})],
+        "1305a3bb391e465003ab65f1617c49e333a68556db1cdcf2b11ccabf7af381b8",
+    ),
+    "class-d": (
+        lambda d, t: ["--param-file",
+                      _param(t, {"k": 3, "phi": "random", "e2": [5], "e1": "auto"}),
+                      "--seed", 7],
+        "6ffa7385cc4647a110735cb2f47ada508738dd081bb097f05f9bbcf7c8f9b466",
+    ),
+    "mm-restricted-sum": (
+        lambda d, t: ["--param-file",
+                      _param(t, {"k_f": 3, "phi": "random", "k_g": 2, "psi": "random",
+                                 "u": "random", "v": "random"}),
+                      "--mu", 2, "--rho", 1, "--seed", 9],
+        "46ada0244945b1d0ed960aff2634f288dfb90cff653362356f33274895f70d0d",
+    ),
+    "psap-restricted-sum": (
+        lambda d, t: ["--param-file", _param(t, {
+            "m_f": 2, "theta": [0, 0, 1, 1], "form_f": [1, 0], "shift_f": [2, 0],
+            "m_g": 2, "vartheta": [0, 1, 1, 0], "form_g": [0, 1], "shift_g": [0, 3],
+        })],
+        "2e0c653e3f580381be6ff3e592bc2e20b720197ae49e59af1d738e4c39b718eb",
+    ),
+    "class-d-restricted-sum": (
+        lambda d, t: ["--param-file", _param(t, {
+            "k_f": 2, "phi": "random", "e2": [], "e1": "auto",
+            "k_g": 2, "psi": "random", "xi2": [1, 2], "xi1": "auto",
+        }), "--mu", 1, "--rho", 2, "--seed", 5],
+        "8d44bf8091dcccf1e0b764a0da9196a734f9f95c0e9569fe7211b2e3631495f1",
+    ),
+    "rothaus": (
+        lambda d, t: ["--f1", d["f1"], "--f2", d["f2"], "--f3", d["f3"]],
+        "768679469f2088a1129cc6879e8432e8265639c3ff686384e0b896fadabe2fe2",
+    ),
+    "rothaus-restricted-sum": (
+        lambda d, t: ["--f1", d["f1"], "--f2", d["f2"], "--f3", d["f3"],
+                      "--g1", d["g1"], "--g2", d["g2"], "--g3", d["g3"]],
+        "f9d7cce3ac7019be2f35b75371347dad4c99e78ac4d6b9c18d2ac74acfd3d5fc",
+    ),
+    "generalized-indirect-sum": (
+        lambda d, t: ["--f1", d["r0"], "--f2", d["r1"], "--f3", d["r2"],
+                      "--g1", d["r3"], "--g2", d["r4"], "--g3", d["r5"],
+                      "--mode", "resilient", "--t", 0, "--k", 0],
+        "e4dfd6e388625a6c6bafb980716f538d6da827e94908075be1fe4e6123fc606e",
+    ),
+    "generalized-indirect-sum/bent": (
+        lambda d, t: ["--f1", d["f1"], "--f2", d["f2"], "--f3", d["f3"],
+                      "--g1", d["g1"], "--g2", d["g2"], "--g3", d["g3"],
+                      "--mode", "bent"],
+        "3487ac77721b7f2a0595ad757e5ec9bc69edc77849c6c669138fae9d7791d7a2",
+    ),
+    "resilient-indirect-sum": (
+        lambda d, t: ["--f1", d["f1"], "--f2", d["f2"], "--f3", d["f3"],
+                      "--g1", d["r3"], "--g2", d["r4"], "--g3", d["r5"], "--k", 0],
+        "6bdb24e8c7b58d37c4892602834b6c45be3b2107f8a469bd0df3696bc1633a04",
+    ),
+    "resilient-indirect-sum-pair": (
+        lambda d, t: ["--f1", d["t1"], "--f2", d["t2"], "--f3", d["t3"],
+                      "--p", d["p"], "--q", d["q"], "--i", 1, "--k", 1],
+        "9b63dec3f33af6ecc93b0f3c30d741d51d6b374094a6168fd960902200a4fe56",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIGEST_CASES))
+def test_build_output_digests_are_pinned(tmp_path, case):
+    """Each construction writes the same bytes for the same seed and inputs."""
+    import hashlib
+
+    make_args, want = DIGEST_CASES[case]
+    out = tmp_path / "h.tt"
+    run("build", case.split("/")[0], *make_args(_digest_inputs(tmp_path), tmp_path),
+        "-o", out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
