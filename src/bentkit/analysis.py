@@ -202,14 +202,17 @@ class AnalysisProfile:
 
 
 def analyze(f: BooleanFunction) -> AnalysisProfile:
-    """Full profile; asserts the profile respects the reported bounds."""
+    """Full profile; raises RuntimeError if it breaks the reported bounds."""
     ci, res = resiliency_report(f)
     nl = nonlinearity(f)
     deg = degree(f)
     bounds = bounds_report(f.n, res)
-    assert nl <= bounds.nonlinearity_cap
-    assert res < 0 or deg <= bounds.degree_cap
+    if nl > bounds.nonlinearity_cap or (res >= 0 and deg > bounds.degree_cap):
+        raise RuntimeError(
+            f"nonlinearity {nl} and degree {deg} break the caps {bounds.as_dict()}"
+        )
     sm = bounds.nonlinearity_cap if 0 <= res <= f.n - 2 else None
+    order = plateaued_order(f)
     return AnalysisProfile(
         n=f.n,
         weight=f.weight,
@@ -219,7 +222,7 @@ def analyze(f: BooleanFunction) -> AnalysisProfile:
         ci_order=ci,
         resiliency=res,
         bent=is_bent(f),
-        plateaued_order=plateaued_order(f),
-        semi_bent=is_semi_bent(f),
+        plateaued_order=order,
+        semi_bent=order == semi_bent_order(f.n),
         sarkar_maitra_bound=sm,
     )

@@ -2,9 +2,10 @@
 
 Subcommands: analyze, wht, anf, dual, verify, build <construction>.
 Reports are JSON on stdout; truth tables travel as files in the
-canonical format.  Exit codes: 0 ok, 2 malformed input file, 3 violated
-construction premise, 4 oracle size cap exceeded, 1 anything else
-(including oracle divergence).
+canonical format.  Exit codes: 0 ok, 2 malformed or missing input file
+(truth table or parameter file), 3 violated construction premise or bad
+parameter, 4 oracle size cap exceeded, 1 anything else (including
+oracle divergence and an unwritable output file).
 """
 
 from __future__ import annotations
@@ -26,12 +27,10 @@ from .errors import CapError, PremiseError, TruthTableFormatError
 from .galois import GaloisField
 
 
-def _load(path: str | None) -> BooleanFunction:
-    if path is None:
-        raise TruthTableFormatError("a required truth-table file flag is missing")
+def _load(path: str) -> BooleanFunction:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TruthTableFormatError(f"cannot read {path}: {exc}") from exc
     return parse_truth_table(text)
 
@@ -40,8 +39,11 @@ def _write(f: BooleanFunction, path: str | None) -> None:
     text = serialize_truth_table(f)
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _emit(obj: dict) -> None:
@@ -112,10 +114,18 @@ def _param_map(
     raise PremiseError(f"parameter {label} must be an image list or \"random\"")
 
 
-def _params(args) -> dict:
-    if args.param_file is None:
+def _params(path: str | None) -> dict:
+    """The --param-file object; a file that cannot be read as a JSON
+    object is malformed input, like an unreadable truth table."""
+    if path is None:
         return {}
-    return json.loads(Path(args.param_file).read_text())
+    try:
+        params = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise TruthTableFormatError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(params, dict):
+        raise TruthTableFormatError(f"{path} must hold a JSON object")
+    return params
 
 
 def _element_pair(value, label: str) -> tuple[int, int]:
@@ -128,175 +138,194 @@ def _element_pair(value, label: str) -> tuple[int, int]:
         raise PremiseError(f"parameter {label} must be a pair of elements") from exc
 
 
-def _summary(name: str, h: BooleanFunction, claims: dict, out: str | None) -> dict:
-    return {"construction": name, "n": h.n, "output": out, "verified": claims}
+def _subspaces(p: dict, phi, key_e1: str, key_e2: str):
+    """E1, E2 of a class-D function; E1 "auto" (the default) is phi(E2)^perp."""
+    e2 = constructions.LinearSubspace(phi.k, p.get(key_e2, []))
+    e1 = p.get(key_e1, "auto")
+    if e1 == "auto":
+        return constructions.class_d_e1(phi, e2), e2
+    return constructions.LinearSubspace(phi.k, e1), e2
 
 
-def _bent_claims(h: BooleanFunction) -> dict:
-    return {"bent": analysis.is_bent(h), "nonlinearity": analysis.nonlinearity(h)}
+def _bent(h: BooleanFunction):
+    claims = {"bent": analysis.is_bent(h), "nonlinearity": analysis.nonlinearity(h)}
+    return h, claims, None
 
 
-def _resilient_claims(h: BooleanFunction) -> dict:
+def _resilient(h: BooleanFunction, cert=None):
     rep = analysis.resiliency_report(h)
-    return {
+    claims = {
         "resiliency": rep.resiliency,
         "ci_order": rep.ci_order,
         "nonlinearity": analysis.nonlinearity(h),
         "plateaued_order": analysis.plateaued_order(h),
     }
+    return h, claims, cert
+
+
+# Each build function takes the arguments, the parameter object and the
+# seeded generator.  It returns the output, the claims verified on it and
+# a certificate or None.  Truth tables are loaded inside the call that
+# consumes them, so none is held while the claims are computed.
+
+
+def _direct_sum(a, p, rng):
+    f, g = _load(a.f), _load(a.g)
+    h, claims, _ = _resilient(constructions.direct_sum(f, g))
+    nf, ng = analysis.nonlinearity(f), analysis.nonlinearity(g)
+    claims["nonlinearity_formula"] = (1 << f.n) * ng + (1 << g.n) * nf - 2 * nf * ng
+    return h, claims, None
+
+
+def _indirect_sum(a, p, rng):
+    return _bent(constructions.indirect_sum(*map(_load, (a.f1, a.f2, a.g1, a.g2))))
+
+
+def _restricted_indirect_sum(a, p, rng):
+    return _bent(constructions.restricted_indirect_sum(
+        _load(a.f), a.mu, _load(a.g), a.rho, a.variant
+    ))
+
+
+def _mm(a, p, rng):
+    phi = _param_map(p.get("phi", "random"), rng, p.get("k"), "phi")
+    u = _param_function(p.get("u", "random"), rng, phi.k, "u")
+    return _bent(constructions.mm_function(phi, u, require_bent=True))
+
+
+def _psap(a, p, rng):
+    field = GaloisField(p["m"])
+    theta = p.get("theta", "random")
+    if theta == "random":
+        theta = rand.random_balanced_field_table(field.m, rng)
+    return _bent(constructions.psap_bent(field, theta))
+
+
+def _class_d(a, p, rng):
+    phi = _param_map(p.get("phi", "random"), rng, p["k"], "phi", fix_zero=True)
+    e1, e2 = _subspaces(p, phi, "e1", "e2")
+    return _bent(constructions.class_d_bent(phi, e1, e2))
+
+
+def _mm_restricted_sum(a, p, rng):
+    phi = _param_map(p.get("phi", "random"), rng, p.get("k_f"), "phi")
+    psi = _param_map(p.get("psi", "random"), rng, p.get("k_g"), "psi")
+    u = _param_function(p.get("u", "random"), rng, phi.k, "u")
+    v = _param_function(p.get("v", "random"), rng, psi.k, "v")
+    return _bent(constructions.mm_restricted_sum(phi, psi, a.mu, a.rho, u, v))
+
+
+def _psap_restricted_sum(a, p, rng):
+    # field, bit table, hyperplane form and coset shift of each side
+    sides = [
+        (GaloisField(p["m_" + s]), p[table], _element_pair(p["form_" + s], "form_" + s),
+         _element_pair(p["shift_" + s], "shift_" + s))
+        for s, table in (("f", "theta"), ("g", "vartheta"))
+    ]
+    return _bent(constructions.psap_restricted_sum(*sides[0], *sides[1]))
+
+
+def _class_d_restricted_sum(a, p, rng):
+    phi = _param_map(p.get("phi", "random"), rng, p["k_f"], "phi", fix_zero=True)
+    psi = _param_map(p.get("psi", "random"), rng, p["k_g"], "psi", fix_zero=True)
+    e1, e2 = _subspaces(p, phi, "e1", "e2")
+    xi1, xi2 = _subspaces(p, psi, "xi1", "xi2")
+    h = constructions.class_d_restricted_sum(phi, e1, e2, psi, xi1, xi2, a.mu, a.rho)
+    return _bent(h)
+
+
+def _rothaus(a, p, rng):
+    return _bent(constructions.rothaus(*map(_load, (a.f1, a.f2, a.f3))))
+
+
+def _rothaus_restricted_sum(a, p, rng):
+    tables = map(_load, (a.f1, a.f2, a.f3, a.g1, a.g2, a.g3))
+    return _bent(constructions.rothaus_restricted_sum(*tables))
+
+
+def _generalized_indirect_sum(a, p, rng):
+    tables = map(_load, (a.f1, a.f2, a.f3, a.g1, a.g2, a.g3))
+    h = constructions.generalized_indirect_sum(*tables, mode=a.mode, t=a.t, k=a.k)
+    return _bent(h) if a.mode == "bent" else _resilient(h)
+
+
+def _resilient_indirect_sum(a, p, rng):
+    triple = constructions.BentTriple.certify(*map(_load, (a.f1, a.f2, a.f3)))
+    gs = map(_load, (a.g1, a.g2, a.g3))
+    h, cert = constructions.resilient_indirect_sum(triple, *gs, a.k)
+    return _resilient(h, cert)
+
+
+def _resilient_indirect_sum_pair(a, p, rng):
+    triple = constructions.BentTriple.certify(*map(_load, (a.f1, a.f2, a.f3)))
+    h, cert = constructions.resilient_indirect_sum_from_pair(
+        triple, _load(a.p), _load(a.q), a.i, a.k
+    )
+    return _resilient(h, cert)
+
+
+_F123, _G123 = ("f1", "f2", "f3"), ("g1", "g2", "g3")
+
+# name: (build function, truth-table flags, --param-file keys, other options)
+_BUILDS = {
+    "direct-sum": (_direct_sum, ("f", "g"), (), ()),
+    "indirect-sum": (_indirect_sum, ("f1", "f2", "g1", "g2"), (), ()),
+    "restricted-indirect-sum": (_restricted_indirect_sum, ("f", "g"), (), ()),
+    "mm": (_mm, (), (), ()),
+    "psap": (_psap, (), ("m",), ()),
+    "class-d": (_class_d, (), ("k",), ()),
+    "mm-restricted-sum": (_mm_restricted_sum, (), (), ()),
+    "psap-restricted-sum": (_psap_restricted_sum, (), (
+        "m_f", "theta", "form_f", "shift_f", "m_g", "vartheta", "form_g", "shift_g",
+    ), ()),
+    "class-d-restricted-sum": (_class_d_restricted_sum, (), ("k_f", "k_g"), ()),
+    "rothaus": (_rothaus, _F123, (), ()),
+    "rothaus-restricted-sum": (_rothaus_restricted_sum, _F123 + _G123, (), ()),
+    "generalized-indirect-sum": (_generalized_indirect_sum, _F123 + _G123, (), ()),
+    "resilient-indirect-sum": (_resilient_indirect_sum, _F123 + _G123, (), ("k",)),
+    "resilient-indirect-sum-pair": (
+        _resilient_indirect_sum_pair, _F123 + ("p", "q"), (), ("k",)
+    ),
+}
 
 
 def cmd_build(args) -> int:
-    rng = rand.XorShift64Star(args.seed)
-    p = _params(args)
     name = args.construction
-    cert = None
-
-    if name == "direct-sum":
-        f, g = _load(args.f), _load(args.g)
-        h = constructions.direct_sum(f, g)
-        nf, ng = analysis.nonlinearity(f), analysis.nonlinearity(g)
-        claims = _resilient_claims(h)
-        claims["nonlinearity_formula"] = (
-            (1 << f.n) * ng + (1 << g.n) * nf - 2 * nf * ng
-        )
-    elif name == "indirect-sum":
-        h = constructions.indirect_sum(
-            _load(args.f1), _load(args.f2), _load(args.g1), _load(args.g2)
-        )
-        claims = _bent_claims(h)
-    elif name == "restricted-indirect-sum":
-        h = constructions.restricted_indirect_sum(
-            _load(args.f), args.mu, _load(args.g), args.rho, args.variant
-        )
-        claims = _bent_claims(h)
-    elif name == "mm":
-        phi = _param_map(p.get("phi", "random"), rng, p.get("k"), "phi")
-        u = _param_function(p.get("u", "random"), rng, phi.k, "u")
-        h = constructions.mm_function(phi, u, require_bent=True)
-        claims = _bent_claims(h)
-    elif name == "psap":
-        m = p["m"]
-        theta = p.get("theta", "random")
-        if theta == "random":
-            theta = rand.random_balanced_field_table(m, rng)
-        h = constructions.psap_bent(GaloisField(m), theta)
-        claims = _bent_claims(h)
-    elif name == "class-d":
-        k = p["k"]
-        phi = _param_map(p.get("phi", "random"), rng, k, "phi", fix_zero=True)
-        e2 = constructions.LinearSubspace(k, p.get("e2", []))
-        if p.get("e1", "auto") == "auto":
-            image = constructions.LinearSubspace(k, [phi(v) for v in e2.members()])
-            e1 = image.orthogonal()
-        else:
-            e1 = constructions.LinearSubspace(k, p["e1"])
-        h = constructions.class_d_bent(phi, e1, e2)
-        claims = _bent_claims(h)
-    elif name == "mm-restricted-sum":
-        phi = _param_map(p.get("phi", "random"), rng, p.get("k_f"), "phi")
-        psi = _param_map(p.get("psi", "random"), rng, p.get("k_g"), "psi")
-        u = _param_function(p.get("u", "random"), rng, phi.k, "u")
-        v = _param_function(p.get("v", "random"), rng, psi.k, "v")
-        h = constructions.mm_restricted_sum(phi, psi, args.mu, args.rho, u, v)
-        claims = _bent_claims(h)
-    elif name == "psap-restricted-sum":
-        h = constructions.psap_restricted_sum(
-            GaloisField(p["m_f"]),
-            p["theta"],
-            _element_pair(p["form_f"], "form_f"),
-            _element_pair(p["shift_f"], "shift_f"),
-            GaloisField(p["m_g"]),
-            p["vartheta"],
-            _element_pair(p["form_g"], "form_g"),
-            _element_pair(p["shift_g"], "shift_g"),
-        )
-        claims = _bent_claims(h)
-    elif name == "class-d-restricted-sum":
-        kf, kg = p["k_f"], p["k_g"]
-        phi = _param_map(p.get("phi", "random"), rng, kf, "phi", fix_zero=True)
-        psi = _param_map(p.get("psi", "random"), rng, kg, "psi", fix_zero=True)
-
-        def side(pm, key_e2, key_e1, k):
-            e2 = constructions.LinearSubspace(k, p.get(key_e2, []))
-            if p.get(key_e1, "auto") == "auto":
-                img = constructions.LinearSubspace(k, [pm(v) for v in e2.members()])
-                return img.orthogonal(), e2
-            return constructions.LinearSubspace(k, p[key_e1]), e2
-
-        e1, e2 = side(phi, "e2", "e1", kf)
-        xi1, xi2 = side(psi, "xi2", "xi1", kg)
-        h = constructions.class_d_restricted_sum(
-            phi, e1, e2, psi, xi1, xi2, args.mu, args.rho
-        )
-        claims = _bent_claims(h)
-    elif name == "rothaus":
-        h = constructions.rothaus(_load(args.f1), _load(args.f2), _load(args.f3))
-        claims = _bent_claims(h)
-    elif name == "rothaus-restricted-sum":
-        h = constructions.rothaus_restricted_sum(
-            _load(args.f1), _load(args.f2), _load(args.f3),
-            _load(args.g1), _load(args.g2), _load(args.g3),
-        )
-        claims = _bent_claims(h)
-    elif name == "generalized-indirect-sum":
-        h = constructions.generalized_indirect_sum(
-            _load(args.f1), _load(args.f2), _load(args.f3),
-            _load(args.g1), _load(args.g2), _load(args.g3),
-            mode=args.mode, t=args.t, k=args.k,
-        )
-        claims = _bent_claims(h) if args.mode == "bent" else _resilient_claims(h)
-    elif name == "resilient-indirect-sum":
-        triple = constructions.BentTriple.certify(
-            _load(args.f1), _load(args.f2), _load(args.f3)
-        )
-        h, cert = constructions.resilient_indirect_sum(
-            triple, _load(args.g1), _load(args.g2), _load(args.g3), args.k
-        )
-        claims = _resilient_claims(h)
-    elif name == "resilient-indirect-sum-pair":
-        triple = constructions.BentTriple.certify(
-            _load(args.f1), _load(args.f2), _load(args.f3)
-        )
-        h, cert = constructions.resilient_indirect_sum_from_pair(
-            triple, _load(args.p), _load(args.q), args.i, args.k
-        )
-        claims = _resilient_claims(h)
-    else:
-        raise PremiseError(f"unknown construction {name!r}")
-
+    build, flags, keys, options = _BUILDS[name]
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise TruthTableFormatError(f"missing --{flag} for {name}")
+    p = _params(args.param_file)
+    for key in keys:
+        if key not in p:
+            raise PremiseError(f"missing parameter {key!r} for {name}")
+    for option in options:
+        if getattr(args, option) is None:
+            raise PremiseError(f"missing --{option} for {name}")
+    try:
+        h, claims, cert = build(args, p, rand.XorShift64Star(args.seed))
+    except TypeError as exc:  # a parameter-file value of the wrong JSON type
+        raise PremiseError(f"malformed parameters for {name}: {exc}") from exc
     _write(h, args.output)
-    out = _summary(name, h, claims, args.output)
+    out = {"construction": name, "n": h.n, "output": args.output, "verified": claims}
     if cert is not None:
         out["certificate"] = cert.as_dict()
     _emit(out)
     return 0
 
 
-_BUILD_NAMES = [
-    "direct-sum", "indirect-sum", "restricted-indirect-sum", "mm", "psap",
-    "class-d", "mm-restricted-sum", "psap-restricted-sum",
-    "class-d-restricted-sum", "rothaus", "rothaus-restricted-sum",
-    "generalized-indirect-sum", "resilient-indirect-sum",
-    "resilient-indirect-sum-pair",
-]
-
-
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="bentkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("analyze", help="full property profile as JSON")
-    pa.add_argument("path")
-    pa.set_defaults(func=cmd_analyze)
-
-    pw = sub.add_parser("wht", help="Walsh spectrum as JSON")
-    pw.add_argument("path")
-    pw.set_defaults(func=cmd_wht)
-
-    pn = sub.add_parser("anf", help="algebraic normal form as JSON")
-    pn.add_argument("path")
-    pn.set_defaults(func=cmd_anf)
+    for name, func, text in (
+        ("analyze", cmd_analyze, "full property profile as JSON"),
+        ("wht", cmd_wht, "Walsh spectrum as JSON"),
+        ("anf", cmd_anf, "algebraic normal form as JSON"),
+    ):
+        pa = sub.add_parser(name, help=text)
+        pa.add_argument("path")
+        pa.set_defaults(func=func)
 
     pd = sub.add_parser("dual", help="dual of a bent function")
     pd.add_argument("path")
@@ -309,7 +338,7 @@ def _parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_verify)
 
     pb = sub.add_parser("build", help="run a construction and certify the output")
-    pb.add_argument("construction", choices=_BUILD_NAMES)
+    pb.add_argument("construction", choices=list(_BUILDS))
     pb.add_argument("-o", "--output", default=None)
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--param-file", default=None)
@@ -320,9 +349,8 @@ def _parser() -> argparse.ArgumentParser:
     pb.add_argument("--t", type=int, default=None)
     pb.add_argument("--k", type=int, default=None)
     pb.add_argument("--i", type=int, default=1)
-    for flag in ("--f", "--g", "--f1", "--f2", "--f3", "--g1", "--g2", "--g3",
-                 "--p", "--q"):
-        pb.add_argument(flag)
+    for flag in sorted({flag for _, flags, _, _ in _BUILDS.values() for flag in flags}):
+        pb.add_argument(f"--{flag}")
     pb.set_defaults(func=cmd_build)
 
     return ap
@@ -341,6 +369,9 @@ def main(argv=None) -> int:
     except (PremiseError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

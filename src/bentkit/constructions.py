@@ -16,7 +16,7 @@ pure and deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,6 +39,28 @@ def _ext_x(block: np.ndarray, ybits: int) -> np.ndarray:
 
 def _ext_y(block: np.ndarray, xbits: int) -> np.ndarray:
     return np.tile(block, 1 << xbits)
+
+
+def _require_bent(*named: tuple[str, BooleanFunction]) -> None:
+    """Raise PremiseError at the first (name, function) that is not bent."""
+    for name, fn in named:
+        if not is_bent(fn):
+            raise PremiseError(f"{name} must be bent")
+
+
+def _require_resilient(order: int, *named: tuple[str, BooleanFunction]) -> None:
+    """Raise PremiseError at the first (name, function) not order-resilient."""
+    for name, fn in named:
+        if resiliency_report(fn).resiliency < order:
+            raise PremiseError(f"{name} is not {order}-resilient")
+
+
+def _with_xor(side: str, a: BooleanFunction, b: BooleanFunction, c: BooleanFunction):
+    """The named premises side1, side2, side3 and side1+side2+side3."""
+    return (
+        (f"{side}1", a), (f"{side}2", b), (f"{side}3", c),
+        (f"{side}1+{side}2+{side}3", a ^ b ^ c),
+    )
 
 
 # -- vectorial maps and subspaces ---------------------------------------
@@ -260,6 +282,13 @@ def class_d_bent(
     return BooleanFunction(2 * k, base.values() ^ prod)
 
 
+def class_d_e1(phi: PermutationMap, e2: LinearSubspace) -> LinearSubspace:
+    """The E1 = phi(E2)^perp that makes class_d_bent(phi, E1, E2) bent."""
+    if e2.k != phi.k:
+        raise ValueError(f"subspaces must live in F_2^{phi.k}")
+    return LinearSubspace(phi.k, [phi(v) for v in e2.members()]).orthogonal()
+
+
 # -- classical secondary builders ----------------------------------------
 
 
@@ -312,9 +341,7 @@ def rothaus(
     if not (f1.n == f2.n == f3.n):
         raise ValueError("the three inputs must share a variable count")
     _check_total(f1.n + 2)
-    for name, fn in (("f1", f1), ("f2", f2), ("f3", f3), ("f1+f2+f3", f1 ^ f2 ^ f3)):
-        if not is_bent(fn):
-            raise PremiseError(f"{name} must be bent")
+    _require_bent(*_with_xor("f", f1, f2, f3))
     maj = (f1 & f2) ^ (f1 & f3) ^ (f2 & f3)
     c00 = maj.values()
     c01 = c00 ^ (f1 ^ f3).values()
@@ -328,17 +355,12 @@ def rothaus(
 # -- the restricted indirect sum -----------------------------------------
 
 
-def _split(f: BooleanFunction, j: int) -> tuple[BooleanFunction, BooleanFunction]:
-    return f.restrict(j, 0), f.restrict(j, 1)
-
-
 def restricted_indirect_sum(
     f: BooleanFunction,
     mu: int,
     g: BooleanFunction,
     rho: int,
     variant: str = "00",
-    check_bent: bool = True,
 ) -> BooleanFunction:
     """Split two bent functions at one coordinate each and recombine the
     restrictions through the indirect-sum formula, landing in n+m-2
@@ -349,13 +371,9 @@ def restricted_indirect_sum(
         raise PremiseError("inputs must have even variable counts")
     if variant not in ("00", "01", "10", "11"):
         raise ValueError(f"variant must be one of 00/01/10/11, got {variant!r}")
-    if check_bent:
-        if not is_bent(f):
-            raise PremiseError("f must be bent")
-        if not is_bent(g):
-            raise PremiseError("g must be bent")
-    f0, f1 = _split(f, mu)
-    g0, g1 = _split(g, rho)
+    _require_bent(("f", f), ("g", g))
+    f0, f1 = f.restrict(mu, 0), f.restrict(mu, 1)
+    g0, g1 = g.restrict(rho, 0), g.restrict(rho, 1)
     fa = f1 if variant[0] == "1" else f0
     gb = g1 if variant[1] == "1" else g0
     return _indirect_tables(fa, f0 ^ f1, gb, g0 ^ g1)
@@ -366,8 +384,9 @@ def restricted_indirect_sum_dual(
 ) -> BooleanFunction:
     """The dual of restricted_indirect_sum(f, mu, g, rho, "00"), built
     from the same formula over restrictions of the two duals."""
-    df0, df1 = _split(dual(f), mu)
-    dg0, dg1 = _split(dual(g), rho)
+    df, dg = dual(f), dual(g)
+    df0, df1 = df.restrict(mu, 0), df.restrict(mu, 1)
+    dg0, dg1 = dg.restrict(rho, 0), dg.restrict(rho, 1)
     return _indirect_tables(df0, df0 ^ df1, dg0, dg0 ^ dg1)
 
 
@@ -387,19 +406,12 @@ def mm_restricted_sum(
         raise PremiseError("both maps must be Boolean permutations")
     if not 1 <= mu <= phi.k or not 1 <= rho <= psi.k:
         raise ValueError("mu and rho must index an affine coordinate")
-    half_n, half_m = phi.k, psi.k
     fside = mm_function(phi.drop_coordinate(mu), u)  # n-1 variables
     gside = mm_function(psi.drop_coordinate(rho), v)  # m-1 variables
-    cf = _ext_y(phi.coordinate(mu).values(), half_n - 1)  # over the x block
-    cg = _ext_y(psi.coordinate(rho).values(), half_m - 1)  # over the y block
-    nx, my = 2 * half_n - 1, 2 * half_m - 1
-    _check_total(nx + my)
-    table = (
-        _ext_x(fside.values(), my)
-        ^ _ext_y(gside.values(), nx)
-        ^ (_ext_x(cf, my) & _ext_y(cg, nx))
-    )
-    return BooleanFunction(nx + my, table)
+    # phi_mu(y) and psi_rho(y), lifted over the x block and the y block
+    cf = BooleanFunction(fside.n, _ext_y(phi.coordinate(mu).values(), phi.k - 1))
+    cg = BooleanFunction(gside.n, _ext_y(psi.coordinate(rho).values(), psi.k - 1))
+    return _indirect_tables(fside, cf, gside, cg)
 
 
 def _trace_hyperplane_split(
@@ -484,12 +496,7 @@ def rothaus_restricted_sum(
     """Combine two Rothaus extensions into n+m+2 variables, built from
     the explicit formula; bit-identical to splitting the two extensions
     at their last fresh variable and recombining."""
-    for name, fn in (
-        ("f1", f1), ("f2", f2), ("f3", f3), ("f1+f2+f3", f1 ^ f2 ^ f3),
-        ("g1", g1), ("g2", g2), ("g3", g3), ("g1+g2+g3", g1 ^ g2 ^ g3),
-    ):
-        if not is_bent(fn):
-            raise PremiseError(f"{name} must be bent")
+    _require_bent(*_with_xor("f", f1, f2, f3), *_with_xor("g", g1, g2, g3))
     n, m = f1.n, g1.n
     _check_total(n + m + 2)
     xn1 = np.tile(np.array([0, 1], dtype=np.uint8), 1 << n)  # x_(n+1), block LSB
@@ -571,9 +578,7 @@ class BentTriple:
     ) -> "BentTriple":
         triple = cls(f1, f2, f3)
         nu1 = triple.nu1
-        for name, fn in (("f1", f1), ("f2", f2), ("f3", f3), ("f1+f2+f3", nu1)):
-            if not is_bent(fn):
-                raise PremiseError(f"{name} must be bent")
+        _require_bent(("f1", f1), ("f2", f2), ("f3", f3), ("f1+f2+f3", nu1))
         if dual(nu1) != dual(f1) ^ dual(f2) ^ dual(f3):
             raise PremiseError("the dual of the XOR must equal the XOR of the duals")
         return cls(f1, f2, f3, certified=True)
@@ -590,8 +595,7 @@ def bent_triple_from_derivative(
     derivative: requires D_a(vartheta) = D_a(theta) bit-exactly."""
     if vartheta.n != theta.n:
         raise ValueError("inputs must share a variable count")
-    if not is_bent(vartheta) or not is_bent(theta):
-        raise PremiseError("both inputs must be bent")
+    _require_bent(("both inputs", vartheta), ("both inputs", theta))
     if vartheta.derivative(a) != theta.derivative(a):
         raise PremiseError("the two derivatives at a must coincide")
     return BentTriple.certify(vartheta, vartheta.translate(a), theta)
@@ -626,30 +630,15 @@ def generalized_indirect_sum(
     if mode == "resilient":
         if t is None or k is None:
             raise ValueError("resilient mode needs both t and k")
-        for name, fn, order in (
-            ("f1", f1, t), ("f2", f2, t), ("f3", f3, t), ("f1+f2+f3", f1 ^ f2 ^ f3, t),
-            ("g1", g1, k), ("g2", g2, k), ("g3", g3, k), ("g1+g2+g3", g1 ^ g2 ^ g3, k),
-        ):
-            if resiliency_report(fn).resiliency < order:
-                raise PremiseError(f"{name} is not {order}-resilient")
+        _require_resilient(t, *_with_xor("f", f1, f2, f3))
+        _require_resilient(k, *_with_xor("g", g1, g2, g3))
     elif mode == "bent":
-        for name, fn in (
-            ("f1", f1), ("f2", f2), ("f3", f3), ("f1+f2+f3", f1 ^ f2 ^ f3),
-            ("g1", g1), ("g2", g2), ("g3", g3), ("g1+g2+g3", g1 ^ g2 ^ g3),
-        ):
-            if not is_bent(fn):
-                raise PremiseError(f"{name} must be bent")
-        if dual(f1 ^ f2 ^ f3) != dual(f1) ^ dual(f2) ^ dual(f3):
-            raise PremiseError("the dual of the XOR must equal the XOR of the duals")
+        BentTriple.certify(f1, f2, f3)
+        _require_bent(*_with_xor("g", g1, g2, g3))
     elif mode is not None:
         raise ValueError(f"unknown mode {mode!r}")
-    table = (
-        _ext_x(f1.values(), m)
-        ^ _ext_y(g1.values(), n)
-        ^ (_ext_x((f1 ^ f2).values(), m) & _ext_y((g1 ^ g2).values(), n))
-        ^ (_ext_x((f2 ^ f3).values(), m) & _ext_y((g2 ^ g3).values(), n))
-    )
-    return BooleanFunction(n + m, table)
+    cross = _ext_x((f2 ^ f3).values(), m) & _ext_y((g2 ^ g3).values(), n)
+    return _indirect_tables(f1, f1 ^ f2, g1, g1 ^ g2) ^ BooleanFunction(n + m, cross)
 
 
 _CASE_MULTIPLIER = {1: "g1", 2: "nu2", 3: "g2", 4: "g3"}
@@ -688,22 +677,27 @@ class ResilientSumCertificate:
     equality_condition: bool
 
     def as_dict(self) -> dict:
-        return {
-            "resiliency": self.resiliency,
-            "nonlinearity": self.nonlinearity,
-            "nonlinearity_bound": self.nonlinearity_bound,
-            "equality_condition": self.equality_condition,
-        }
+        return asdict(self)
 
 
 def _distinct_up_to_complement(
     f1: BooleanFunction, f2: BooleanFunction, f3: BooleanFunction
 ) -> bool:
     full = (1 << (1 << f1.n)) - 1
-    sets = [{f.mask, f.mask ^ full} for f in (f1, f2, f3)]
-    return (
-        not (sets[0] & sets[1]) and not (sets[0] & sets[2]) and not (sets[1] & sets[2])
-    )
+    # one representative per complement class: three classes iff pairwise distinct
+    return len({min(f.mask, f.mask ^ full) for f in (f1, f2, f3)}) == 3
+
+
+def _certified_sum(
+    triple: BentTriple, gs: tuple, k: int, seeds: tuple, equality: bool
+) -> tuple[BooleanFunction, ResilientSumCertificate]:
+    """The generalized indirect sum of triple with gs and its certificate;
+    the nonlinearity bound uses the largest |W| among the seeds."""
+    h = generalized_indirect_sum(triple.f1, triple.f2, triple.f3, *gs)
+    n, m = triple.n, gs[0].n
+    spread = max(walsh_transform(s).max_abs for s in seeds)
+    bound = (1 << (n + m - 1)) - (1 << (n // 2 - 1)) * spread
+    return h, ResilientSumCertificate(k, nonlinearity(h), bound, equality)
 
 
 def resilient_indirect_sum(
@@ -729,20 +723,9 @@ def resilient_indirect_sum(
     if not k < m - 1:
         raise PremiseError(f"need k < m-1, got k={k}, m={m}")
     nu2 = g1 ^ g2 ^ g3
-    for name, gg in (("g1", g1), ("g2", g2), ("g3", g3), ("g1+g2+g3", nu2)):
-        if resiliency_report(gg).resiliency < k:
-            raise PremiseError(f"{name} is not {k}-resilient")
-    h = generalized_indirect_sum(triple.f1, triple.f2, triple.f3, g1, g2, g3)
-    n = triple.n
-    spread = max(walsh_transform(gg).max_abs for gg in (g1, g2, g3, nu2))
-    bound = (1 << (n + m - 1)) - (1 << (n // 2 - 1)) * spread
-    cert = ResilientSumCertificate(
-        resiliency=k,
-        nonlinearity=nonlinearity(h),
-        nonlinearity_bound=bound,
-        equality_condition=_distinct_up_to_complement(triple.f1, triple.f2, triple.f3),
-    )
-    return h, cert
+    _require_resilient(k, ("g1", g1), ("g2", g2), ("g3", g3), ("g1+g2+g3", nu2))
+    distinct = _distinct_up_to_complement(triple.f1, triple.f2, triple.f3)
+    return _certified_sum(triple, (g1, g2, g3), k, (g1, g2, g3, nu2), distinct)
 
 
 def resilient_indirect_sum_from_pair(
@@ -770,26 +753,11 @@ def resilient_indirect_sum_from_pair(
         raise ValueError(f"coordinate {i} out of range for m={m}")
     if not k < m - 1:
         raise PremiseError(f"need k < m-1, got k={k}, m={m}")
-    for name, gg in (("p", p), ("q", q)):
-        if resiliency_report(gg).resiliency < k:
-            raise PremiseError(f"{name} is not {k}-resilient")
-    w1 = walsh_transform(triple.f1)[0]
-    w2 = walsh_transform(triple.f2)[0]
-    w3 = walsh_transform(triple.f3)[0]
+    _require_resilient(k, ("p", p), ("q", q))
     yi = BooleanFunction.variable(m, i)
-    if w1 == w2 == w3 or (w1 != w2 and w2 == w3):
-        g1, g2, g3 = p, q, q ^ yi
+    if walsh_case(triple, 0)[0] in (1, 3):
+        gs = p, q, q ^ yi
     else:
-        g1, g2, g3 = p ^ yi, q ^ yi, q
-    h = generalized_indirect_sum(triple.f1, triple.f2, triple.f3, g1, g2, g3)
-    n = triple.n
-    spread = max(walsh_transform(p).max_abs, walsh_transform(q).max_abs)
-    bound = (1 << (n + m - 1)) - (1 << (n // 2 - 1)) * spread
+        gs = p ^ yi, q ^ yi, q
     not_all_equal = not (triple.f1 == triple.f2 == triple.f3)
-    cert = ResilientSumCertificate(
-        resiliency=k,
-        nonlinearity=nonlinearity(h),
-        nonlinearity_bound=bound,
-        equality_condition=not_all_equal,
-    )
-    return h, cert
+    return _certified_sum(triple, gs, k, (p, q), not_all_equal)

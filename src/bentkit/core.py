@@ -298,9 +298,10 @@ def parse_truth_table(text: str) -> BooleanFunction:
             f"expected exactly two lines (n=..., bits=...), got {len(lines)}"
         )
     head, body = lines
-    if not head.startswith("n=") or not head[2:].isdigit():
+    digits = head[2:]
+    if not head.startswith("n=") or not (digits.isascii() and digits.isdigit()):
         raise TruthTableFormatError(f"malformed header line {head!r}")
-    n = int(head[2:])
+    n = int(digits)
     if not 1 <= n <= MAX_VARS:
         raise TruthTableFormatError(f"variable count {n} outside [1, {MAX_VARS}]")
     if not body.startswith("bits="):

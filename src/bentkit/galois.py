@@ -114,7 +114,8 @@ class GaloisField:
         for _ in range(self.m - 1):
             t = self.mul(t, t)
             acc ^= t
-        assert acc in (0, 1)
+        if acc not in (0, 1):
+            raise RuntimeError(f"trace of {p} is {acc}: the modulus is not irreducible")
         return acc
 
     # identification of F_2^m with the field: bit j-1 of the element

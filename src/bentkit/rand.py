@@ -13,6 +13,7 @@ from .constructions import (
     PermutationMap,
     bent_triple_from_derivative,
     class_d_bent,
+    class_d_e1,
     mm_function,
     psap_bent,
 )
@@ -133,9 +134,7 @@ def random_class_d_bent(n: int, rng: XorShift64Star) -> BooleanFunction:
         e2 = LinearSubspace.full(k)
     else:
         e2 = LinearSubspace(k, [rng.randint(1, (1 << k) - 1)])
-    image = LinearSubspace(k, [phi(v) for v in e2.members()])
-    e1 = image.orthogonal()
-    return class_d_bent(phi, e1, e2)
+    return class_d_bent(phi, class_d_e1(phi, e2), e2)
 
 
 _BENT_FAMILIES = (random_mm_bent, random_psap_bent, random_class_d_bent)

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -241,3 +243,29 @@ def test_parseval_via_spectrum_type(n, seed):
     f = random_function(n, XorShift64Star(seed))
     spec = walsh_transform(f)
     assert int((spec.values.astype(object) ** 2).sum()) == 1 << (2 * n)
+
+
+def test_consistency_checks_survive_python_O():
+    # analyze's bound check and the field-trace check must not be asserts
+    code = """
+import bentkit.analysis as analysis
+from bentkit import BooleanFunction, GaloisField
+
+analysis.bounds_report = lambda n, res, degree=None: analysis.BoundsReport(n, res, n, 0)
+try:
+    analysis.analyze(BooleanFunction(2, [0, 0, 0, 1]))
+except RuntimeError as exc:
+    print("analyze:", exc)
+field = GaloisField(2)
+field.reduction_poly = 0b101  # x^2 + 1 = (x + 1)^2, reducible
+try:
+    field.trace(0b10)
+except RuntimeError as exc:
+    print("trace:", exc)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "analyze: nonlinearity 1 and degree 2 break the caps" in proc.stdout
+    assert "trace: trace of 2 is 3" in proc.stdout

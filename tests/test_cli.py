@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -255,6 +256,63 @@ def test_missing_file_flag_exits_2(tmp_path):
     run("build", "direct-sum", "--f", f, "-o", tmp_path / "o.tt", expect=2)
 
 
+def _file(tmp_path, name, data: bytes):
+    p = tmp_path / name
+    p.write_bytes(data)
+    return p
+
+
+_TRIPLE = ("--f1", "--f2", "--f3")
+
+
+@pytest.mark.parametrize("args, code, message", [
+    pytest.param(
+        lambda t: ["mm", "--param-file", put_json(t, {"k": 2}),
+                   "-o", t / "no" / "such" / "h.tt"],
+        1, "cannot write", id="unwritable-output"),
+    pytest.param(
+        lambda t: ["psap", "--param-file", t / "absent.json"],
+        2, "cannot read", id="absent-param-file"),
+    pytest.param(
+        lambda t: ["psap", "--param-file", put_json(t, [1])],
+        2, "must hold a JSON object", id="param-file-not-an-object"),
+    pytest.param(
+        lambda t: ["psap", "--param-file", _file(t, "p.json", b"{nope")],
+        2, "cannot read", id="param-file-not-json"),
+    pytest.param(
+        lambda t: ["direct-sum", "--f", _file(t, "f.tt", "n=\u00b2\nbits=8\n".encode()),
+                   "--g", put(t, "g.tt", MM4)],
+        2, "malformed header", id="non-ascii-header"),
+    pytest.param(
+        lambda t: ["direct-sum", "--f", _file(t, "f.tt", b"\xff\xfe\n"),
+                   "--g", put(t, "g.tt", MM4)],
+        2, "cannot read", id="table-not-utf8"),
+    pytest.param(
+        lambda t: ["psap", "--param-file", put_json(t, {"m": 3, "theta": 5})],
+        3, "malformed parameters for psap", id="theta-not-a-list"),
+    pytest.param(
+        lambda t: ["psap", "--param-file", put_json(t, {"theta": "random"})],
+        3, "missing parameter 'm' for psap", id="missing-key"),
+    pytest.param(
+        lambda t: ["indirect-sum", "--f1", put(t, "f.tt", MM4)],
+        2, "missing --f2 for indirect-sum", id="missing-table-flag"),
+    pytest.param(
+        lambda t: ["resilient-indirect-sum",
+                   *(x for flag in (*_TRIPLE, "--g1", "--g2", "--g3")
+                     for x in (flag, put(t, "f.tt", MM4)))],
+        3, "missing --k for resilient-indirect-sum", id="missing-k"),
+    pytest.param(
+        lambda t: ["resilient-indirect-sum-pair",
+                   *(x for flag in (*_TRIPLE, "--p", "--q")
+                     for x in (flag, put(t, "f.tt", MM4)))],
+        3, "missing --k for resilient-indirect-sum-pair", id="missing-k-pair"),
+])
+def test_build_error_paths_exit_with_a_message(tmp_path, args, code, message):
+    proc = run("build", *args(tmp_path), expect=code)
+    assert "error: " in proc.stderr and message in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_cli_file_round_trip_small_n(tmp_path, n):
     f = random_function(n, XorShift64Star(n))
@@ -286,17 +344,12 @@ def _digest_inputs(tmp_path):
     seeds = []
     for _ in range(2):
         rng.shuffle(heavy)
-        seeds.append(mm_function(PermutationMap(heavy[:8], r=5), random_function(3, rng)))
+        phi = PermutationMap(heavy[:8], r=5)
+        seeds.append(mm_function(phi, random_function(3, rng)))
     for name, f in [("t1", triple.f1), ("t2", triple.f2), ("t3", triple.f3),
                     ("p", seeds[0]), ("q", seeds[1])]:
         paths[name] = put(tmp_path, name + ".tt", f)
     return paths
-
-
-def _param(tmp_path, obj):
-    p = tmp_path / "digest-params.json"
-    p.write_text(json.dumps(obj))
-    return p
 
 
 DIGEST_CASES = {
@@ -305,7 +358,8 @@ DIGEST_CASES = {
         "999f7e25a2c40fc9f37a7c294bb48b0d60067d0899567d0ea7b2d471906142d7",
     ),
     "indirect-sum": (
-        lambda d, t: ["--f1", d["f1"], "--f2", d["f2"], "--g1", d["g1"], "--g2", d["g2"]],
+        lambda d, t: ["--f1", d["f1"], "--f2", d["f2"],
+                      "--g1", d["g1"], "--g2", d["g2"]],
         "e81e9d23dbd04d62e0870fd5a5f5a532d7e9c94673c702fac0293ccc22d21a95",
     ),
     "restricted-indirect-sum": (
@@ -314,36 +368,38 @@ DIGEST_CASES = {
         "037706b37ac9ff25fc30859971929aa848fbdea8d6ab51af2e5902db9483993a",
     ),
     "mm": (
-        lambda d, t: ["--param-file", _param(t, {"phi": "random", "k": 3, "u": "random"}),
+        lambda d, t: ["--param-file",
+                      put_json(t, {"phi": "random", "k": 3, "u": "random"}),
                       "--seed", 42],
         "e7828602ee04c8869b9a4d13faa013e64f41659b3f29cf0bb71b1437c54aef98",
     ),
     "psap": (
-        lambda d, t: ["--param-file", _param(t, {"m": 3, "theta": [0, 0, 1, 1, 0, 1, 0, 1]})],
+        lambda d, t: ["--param-file",
+                      put_json(t, {"m": 3, "theta": [0, 0, 1, 1, 0, 1, 0, 1]})],
         "1305a3bb391e465003ab65f1617c49e333a68556db1cdcf2b11ccabf7af381b8",
     ),
     "class-d": (
         lambda d, t: ["--param-file",
-                      _param(t, {"k": 3, "phi": "random", "e2": [5], "e1": "auto"}),
+                      put_json(t, {"k": 3, "phi": "random", "e2": [5], "e1": "auto"}),
                       "--seed", 7],
         "6ffa7385cc4647a110735cb2f47ada508738dd081bb097f05f9bbcf7c8f9b466",
     ),
     "mm-restricted-sum": (
         lambda d, t: ["--param-file",
-                      _param(t, {"k_f": 3, "phi": "random", "k_g": 2, "psi": "random",
+                      put_json(t, {"k_f": 3, "phi": "random", "k_g": 2, "psi": "random",
                                  "u": "random", "v": "random"}),
                       "--mu", 2, "--rho", 1, "--seed", 9],
         "46ada0244945b1d0ed960aff2634f288dfb90cff653362356f33274895f70d0d",
     ),
     "psap-restricted-sum": (
-        lambda d, t: ["--param-file", _param(t, {
+        lambda d, t: ["--param-file", put_json(t, {
             "m_f": 2, "theta": [0, 0, 1, 1], "form_f": [1, 0], "shift_f": [2, 0],
             "m_g": 2, "vartheta": [0, 1, 1, 0], "form_g": [0, 1], "shift_g": [0, 3],
         })],
         "2e0c653e3f580381be6ff3e592bc2e20b720197ae49e59af1d738e4c39b718eb",
     ),
     "class-d-restricted-sum": (
-        lambda d, t: ["--param-file", _param(t, {
+        lambda d, t: ["--param-file", put_json(t, {
             "k_f": 2, "phi": "random", "e2": [], "e1": "auto",
             "k_g": 2, "psi": "random", "xi2": [1, 2], "xi1": "auto",
         }), "--mu", 1, "--rho", 2, "--seed", 5],
@@ -386,8 +442,6 @@ DIGEST_CASES = {
 @pytest.mark.parametrize("case", sorted(DIGEST_CASES))
 def test_build_output_digests_are_pinned(tmp_path, case):
     """Each construction writes the same bytes for the same seed and inputs."""
-    import hashlib
-
     make_args, want = DIGEST_CASES[case]
     out = tmp_path / "h.tt"
     run("build", case.split("/")[0], *make_args(_digest_inputs(tmp_path), tmp_path),

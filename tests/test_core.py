@@ -88,6 +88,7 @@ def test_serialize_canonical_shape():
         "",
         "n=2",
         "n=x\nbits=8\n",
+        "n=\u00b2\nbits=8\n",  # a superscript digit passes str.isdigit alone
         "bits=8\nn=2\n",
         "n=2\nbits=88\n",  # wrong payload length
         "n=2\nbits=g\n",
