@@ -42,22 +42,18 @@ from .core import (
     AnfPolynomial,
     BooleanFunction,
     WalshSpectrum,
-    combine,
     decode_point,
     degree,
     degree_of_variable,
-    derivative,
     encode_point,
     mobius,
     mobius_inv,
     parse_truth_table,
-    restrict,
     serialize_truth_table,
-    translate,
     walsh_transform,
 )
 from .errors import CapError, PremiseError, TruthTableFormatError
-from .galois import FieldElement, GaloisField
+from .galois import GaloisField
 from .oracle import (
     OracleReport,
     correlation_immune_by_definition,

@@ -108,6 +108,7 @@ def _param_map(
     if value == "random":
         if k is None:
             raise PremiseError(f"cannot draw {label} at random: set \"k\"")
+        constructions.check_total(2 * k)  # before drawing 2^k images
         return rand.random_permutation(k, rng, fix_zero=fix_zero)
     if isinstance(value, list):
         return constructions.PermutationMap(value)

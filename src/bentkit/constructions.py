@@ -27,7 +27,7 @@ from .errors import PremiseError
 from .galois import GaloisField
 
 
-def _check_total(n: int) -> None:
+def check_total(n: int) -> None:
     if n > MAX_VARS:
         raise ValueError(f"composite output would need {n} > {MAX_VARS} variables")
 
@@ -220,7 +220,7 @@ def mm_function(
     permutation; pass require_bent to insist on that."""
     if u.n != phi.k:
         raise ValueError(f"u must have {phi.k} variables, got {u.n}")
-    _check_total(phi.r + phi.k)
+    check_total(phi.r + phi.k)
     if require_bent and not phi.is_permutation:
         raise PremiseError("bent M-M functions need a Boolean permutation")
     parity = (popcount_table(phi.r) & 1).astype(np.uint8)
@@ -238,7 +238,7 @@ def psap_bent(field: GaloisField, theta: Sequence[int]) -> BooleanFunction:
     f(x, 0) = 0 reading of the class agree.
     """
     m = field.m
-    _check_total(2 * m)
+    check_total(2 * m)
     bits = [int(b) for b in theta]
     if len(bits) != field.order or any(b not in (0, 1) for b in bits):
         raise ValueError(f"theta must be a bit table over all {field.order} elements")
@@ -246,21 +246,15 @@ def psap_bent(field: GaloisField, theta: Sequence[int]) -> BooleanFunction:
         raise PremiseError("theta must be balanced on the field")
     if bits[0] != 0:
         raise PremiseError("theta(0) must be 0")
-    # index block (x_1..x_m) <-> element with bit j-1 = x_j
-    elem_of_block = [0] * field.order
-    for block in range(field.order):
-        e = 0
-        for j in range(1, m + 1):
-            e |= ((block >> (m - j)) & 1) << (j - 1)
-        elem_of_block[block] = e
-    inv = [0] * field.order
-    for v in range(1, field.order):
-        inv[v] = field.inv(v)
-    table = np.empty((field.order, field.order), dtype=np.uint8)
-    for yb in range(field.order):
-        iy = inv[elem_of_block[yb]]
-        for xb in range(field.order):
-            table[xb, yb] = bits[field.mul(elem_of_block[xb], iy)]
+    # for x, y != 0, x/y = g^(log x - log y): theta(g^k), laid out twice,
+    # is indexed by log x + (order - 1 - log y) in the smallest dtype that
+    # holds it; the x = 0 row and the y = 0 column are theta(0)
+    span = field.order - 1
+    logs = field.log[field.reverse_bits(np.arange(field.order))]
+    logs = logs.astype(np.min_scalar_type(2 * span))
+    powers = np.array(bits, dtype=np.uint8)[field.exp]
+    table = np.concatenate([powers, powers])[logs[:, None] + (span - logs)[None, :]]
+    table[0, :] = table[:, 0] = bits[0]
     return BooleanFunction(2 * m, table.reshape(-1))
 
 
@@ -294,7 +288,7 @@ def class_d_e1(phi: PermutationMap, e2: LinearSubspace) -> LinearSubspace:
 
 def direct_sum(f: BooleanFunction, g: BooleanFunction) -> BooleanFunction:
     """h(x, y) = f(x) + g(y) on n+m variables."""
-    _check_total(f.n + g.n)
+    check_total(f.n + g.n)
     return BooleanFunction(
         f.n + g.n, _ext_x(f.values(), g.n) ^ _ext_y(g.values(), f.n)
     )
@@ -308,7 +302,7 @@ def _indirect_tables(
 ) -> BooleanFunction:
     """fa(x) + gb(y) + df(x) dg(y) with the block layout."""
     p, q = fa.n, gb.n
-    _check_total(p + q)
+    check_total(p + q)
     table = (
         _ext_x(fa.values(), q)
         ^ _ext_y(gb.values(), p)
@@ -340,7 +334,7 @@ def rothaus(
     (f1, f2, f3 and their XOR) are checked eagerly."""
     if not (f1.n == f2.n == f3.n):
         raise ValueError("the three inputs must share a variable count")
-    _check_total(f1.n + 2)
+    check_total(f1.n + 2)
     _require_bent(*_with_xor("f", f1, f2, f3))
     maj = (f1 & f2) ^ (f1 & f3) ^ (f2 & f3)
     c00 = maj.values()
@@ -455,10 +449,8 @@ def _trace_hyperplane_split(
     t = np.arange(size)
     for pos, vec in enumerate(basis):  # basis[pos] belongs to t_(pos+1)
         pts[((t >> (n - 2 - pos)) & 1) == 1] ^= vec
-    # encode the shift point (alpha on the x block, beta on the y block)
-    sx = sum(((alpha >> (j - 1)) & 1) << (m - j) for j in range(1, m + 1))
-    sy = sum(((beta >> (j - 1)) & 1) << (m - j) for j in range(1, m + 1))
-    sidx = (sx << m) | sy
+    # the shift point: alpha on the x block, beta on the y block
+    sidx = (field.reverse_bits(alpha) << m) | field.reverse_bits(beta)
     vals = f.values()
     return (
         BooleanFunction(n - 1, vals[pts]),
@@ -498,7 +490,7 @@ def rothaus_restricted_sum(
     at their last fresh variable and recombining."""
     _require_bent(*_with_xor("f", f1, f2, f3), *_with_xor("g", g1, g2, g3))
     n, m = f1.n, g1.n
-    _check_total(n + m + 2)
+    check_total(n + m + 2)
     xn1 = np.tile(np.array([0, 1], dtype=np.uint8), 1 << n)  # x_(n+1), block LSB
     ym1 = np.tile(np.array([0, 1], dtype=np.uint8), 1 << m)
     majf = ((f1 & f2) ^ (f1 & f3) ^ (f2 & f3)).values()
@@ -626,7 +618,7 @@ def generalized_indirect_sum(
     if not (g1.n == g2.n == g3.n):
         raise ValueError("g inputs must share a variable count")
     n, m = f1.n, g1.n
-    _check_total(n + m)
+    check_total(n + m)
     if mode == "resilient":
         if t is None or k is None:
             raise ValueError("resilient mode needs both t and k")

@@ -244,27 +244,6 @@ class BooleanFunction:
         return BooleanFunction(self._n - 1, sub.reshape(-1))
 
 
-def combine(f: BooleanFunction, g: BooleanFunction, kind: str) -> BooleanFunction:
-    """Pointwise XOR or AND of two functions on the same variables."""
-    if kind == "xor":
-        return f ^ g
-    if kind == "and":
-        return f & g
-    raise ValueError(f"unknown combination kind {kind!r}")
-
-
-def translate(f: BooleanFunction, a) -> BooleanFunction:
-    return f.translate(a)
-
-
-def derivative(f: BooleanFunction, a) -> BooleanFunction:
-    return f.derivative(a)
-
-
-def restrict(f: BooleanFunction, j: int, b: int) -> BooleanFunction:
-    return f.restrict(j, b)
-
-
 # -- truth-table file format ------------------------------------------
 #
 # line 1: n=<decimal>

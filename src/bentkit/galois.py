@@ -4,11 +4,15 @@ Elements are m-bit ints, bit j = coefficient of X^j.  Each degree uses
 the lexicographically smallest irreducible reduction polynomial so that
 identical parameters always produce identical truth tables.  Division
 follows the x/0 = 0 convention used by the partial-spread bent class.
+Scalar products are bit-serial; inverses and whole quotient tables use
+exp/log tables over the smallest generator of the multiplicative group.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
 
 MAX_DEGREE = 16
 
@@ -45,7 +49,7 @@ def smallest_irreducible(m: int) -> int:
 class GaloisField:
     """GF(2^m) with a fixed irreducible reduction polynomial."""
 
-    __slots__ = ("m", "reduction_poly", "order")
+    __slots__ = ("m", "reduction_poly", "order", "exp", "log")
 
     def __init__(self, m: int, reduction_poly: int | None = None):
         if not 1 <= m <= MAX_DEGREE:
@@ -60,15 +64,27 @@ class GaloisField:
         self.m = m
         self.reduction_poly = reduction_poly
         self.order = 1 << m
+        self.exp, self.log = self._tables()
+
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """exp[k] = g^k for k < order - 1 and log[exp[k]] = k, where g is
+        the smallest generator; log[0] is 0 but means nothing."""
+        for g in range(1, self.order):
+            powers, x = [1], g
+            while x != 1:
+                powers.append(x)
+                x = self.mul(x, g)
+            if len(powers) == self.order - 1:
+                break
+        exp = np.array(powers, dtype=np.int64)
+        log = np.zeros(self.order, dtype=np.int64)
+        log[exp] = np.arange(self.order - 1)
+        return exp, log
 
     def _check(self, *elems: int) -> None:
         for e in elems:
             if not 0 <= e < self.order:
                 raise ValueError(f"{e} is not an element of GF(2^{self.m})")
-
-    def add(self, p: int, q: int) -> int:
-        self._check(p, q)
-        return p ^ q
 
     def mul(self, p: int, q: int) -> int:
         self._check(p, q)
@@ -82,22 +98,11 @@ class GaloisField:
             q >>= 1
         return acc
 
-    def pow(self, p: int, e: int) -> int:
-        self._check(p)
-        acc = 1
-        base = p
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
-
     def inv(self, p: int) -> int:
         self._check(p)
         if p == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.pow(p, self.order - 2)
+        return int(self.exp[-self.log[p]])  # g^(-k) = exp[order - 1 - k]
 
     def div(self, p: int, q: int) -> int:
         """p/q with the convention p/0 = 0."""
@@ -136,8 +141,16 @@ class GaloisField:
         self._check(p)
         return tuple((p >> (j - 1)) & 1 for j in range(1, self.m + 1))
 
-    def element(self, bits: int) -> "FieldElement":
-        return FieldElement(self, bits)
+    def reverse_bits(self, v):
+        """Element <-> block index, elementwise on integer arrays too.
+
+        A block index of m variables holds x_1 in its top bit and an
+        element holds x_j in bit j-1, so each is the other read backwards.
+        """
+        out = 0
+        for j in range(self.m):
+            out |= ((v >> j) & 1) << (self.m - 1 - j)
+        return out
 
     def __eq__(self, other) -> bool:
         return (
@@ -152,59 +165,3 @@ class GaloisField:
     def __repr__(self) -> str:
         return f"GaloisField(m={self.m}, poly={self.reduction_poly:#x})"
 
-
-class FieldElement:
-    """A GF(2^m) element bound to its field, with operator sugar."""
-
-    __slots__ = ("field", "bits")
-
-    def __init__(self, field: GaloisField, bits: int):
-        field._check(bits)
-        self.field = field
-        self.bits = bits
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("elements belong to different fields")
-            return other.bits
-        if isinstance(other, int):
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        q = self._coerce(other)
-        return FieldElement(self.field, self.field.add(self.bits, q))
-
-    __xor__ = __add__
-    __sub__ = __add__
-
-    def __mul__(self, other):
-        q = self._coerce(other)
-        return FieldElement(self.field, self.field.mul(self.bits, q))
-
-    def __truediv__(self, other):
-        q = self._coerce(other)
-        return FieldElement(self.field, self.field.div(self.bits, q))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.bits))
-
-    def trace(self) -> int:
-        return self.field.trace(self.bits)
-
-    def __int__(self) -> int:
-        return self.bits
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.bits == other.bits
-        if isinstance(other, int):
-            return self.bits == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.bits))
-
-    def __repr__(self) -> str:
-        return f"FieldElement(GF(2^{self.field.m}), {self.bits:#x})"

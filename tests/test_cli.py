@@ -291,6 +291,13 @@ _TRIPLE = ("--f1", "--f2", "--f3")
         lambda t: ["psap", "--param-file", put_json(t, {"m": 3, "theta": 5})],
         3, "malformed parameters for psap", id="theta-not-a-list"),
     pytest.param(
+        lambda t: ["mm", "--param-file",
+                   put_json(t, {"phi": "random", "k": 18, "u": "random"})],
+        3, "composite output would need 36 > 26 variables", id="mm-random-phi-too-large"),
+    pytest.param(
+        lambda t: ["class-d", "--param-file", put_json(t, {"k": 18})],
+        3, "composite output would need 36 > 26 variables", id="class-d-too-large"),
+    pytest.param(
         lambda t: ["psap", "--param-file", put_json(t, {"theta": "random"})],
         3, "missing parameter 'm' for psap", id="missing-key"),
     pytest.param(

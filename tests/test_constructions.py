@@ -37,6 +37,7 @@ from bentkit.oracle import naive_walsh, resiliency_by_definition
 from bentkit.rand import (
     XorShift64Star,
     random_balanced,
+    random_balanced_field_table,
     random_bent,
     random_derivative_triple,
     random_function,
@@ -128,6 +129,22 @@ def test_psap_trace_theta_bent():
     theta = [gf.trace(gf.mul(3, p)) for p in range(8)]
     assert psap_bent(gf, theta).n == 6
     assert is_bent(psap_bent(gf, theta))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_psap_matches_scalar_division(m):
+    # m = 1 has a one-element multiplicative group; at m = 8 the class of
+    # X is not a generator modulo 0x11B
+    gf = GaloisField(m)
+    # block index (x_1 in the top bit) of each field element
+    block = [sum(((e >> (j - 1)) & 1) << (m - j) for j in range(1, m + 1))
+             for e in range(gf.order)]
+    quotient = {(block[x] << m) | block[y]: gf.div(x, y)
+                for x in range(gf.order) for y in range(gf.order)}
+    for seed in range(3):
+        theta = random_balanced_field_table(m, XorShift64Star(seed))
+        want = [theta[quotient[i]] for i in range(1 << (2 * m))]
+        assert psap_bent(gf, theta) == BooleanFunction(2 * m, want)
 
 
 # -- class D ----------------------------------------------------------------

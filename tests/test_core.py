@@ -8,7 +8,6 @@ from bentkit import (
     BooleanFunction,
     TruthTableFormatError,
     WalshSpectrum,
-    combine,
     decode_point,
     degree,
     degree_of_variable,
@@ -182,10 +181,9 @@ def test_mobius_involution_other_direction(n, seed):
 
 def test_degree_examples():
     # x1x2 + x3
-    h = combine(
-        BooleanFunction(3, [0, 0, 0, 0, 0, 0, 1, 1]),  # x1x2 over 3 vars
-        BooleanFunction.variable(3, 3),
-        "xor",
+    h = (
+        BooleanFunction(3, [0, 0, 0, 0, 0, 0, 1, 1])  # x1x2 over 3 vars
+        ^ BooleanFunction.variable(3, 3)
     )
     assert degree(h) == 2
     assert degree_of_variable(h, 1) == 2
@@ -201,7 +199,7 @@ def test_degree_of_variable_mm_bent():
     assert [degree_of_variable(f, i) for i in (1, 2, 3, 4)] == [2, 2, 2, 2]
 
 
-# -- restrict / derivative / combine / translate -------------------------
+# -- restrict / derivative / operators / translate ----------------------
 
 
 def test_restrict_examples():
@@ -228,12 +226,12 @@ def test_combine_translate_trivialities():
     rng = XorShift64Star(5)
     f = random_function(6, rng)
     g = random_function(6, rng)
-    assert combine(f, f, "xor") == BooleanFunction.zero(6)
-    assert combine(f, BooleanFunction.constant(6, 1), "and") == f
+    assert f ^ f == BooleanFunction.zero(6)
+    assert f & BooleanFunction.constant(6, 1) == f
     a = (0, 1, 1, 0, 0, 1)
     assert f.translate(a).translate(a) == f
     with pytest.raises(ValueError):
-        combine(f, random_function(5, rng), "xor")
+        f ^ random_function(5, rng)
     del g
 
 

@@ -86,13 +86,15 @@ def test_vector_bijection():
         assert gf.from_vector(gf.to_vector(e)) == e
 
 
-def test_field_elements():
-    gf = GaloisField(2)
-    w = gf.element(2)
-    assert int(w * w) == 3
-    assert int(w / gf.element(0)) == 0
-    assert (w * w.inverse()).bits == 1
-    assert w.trace() == 1
-    other = GaloisField(3).element(2)
-    with pytest.raises(ValueError):
-        _ = w * other
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_exp_log_tables_are_inverse_bijections(m):
+    gf = GaloisField(m)
+    span = gf.order - 1
+    assert sorted(gf.exp.tolist()) == list(range(1, gf.order))
+    assert all(gf.log[gf.exp[k]] == k for k in range(span))
+    # exp walks the powers of exp[1] (of 1 when m = 1) through mul
+    g = int(gf.exp[1 % span])
+    assert all(gf.exp[(k + 1) % span] == gf.mul(int(gf.exp[k]), g) for k in range(span))
+    for p in range(1, gf.order):
+        for q in range(1, gf.order):
+            assert gf.mul(p, q) == gf.exp[(gf.log[p] + gf.log[q]) % span]
