@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -120,12 +120,7 @@ class BoundsReport:
     nonlinearity_cap: int
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "resiliency": self.resiliency,
-            "degree_cap": self.degree_cap,
-            "nonlinearity_cap": self.nonlinearity_cap,
-        }
+        return asdict(self)
 
 
 def bounds_report(n: int, resiliency: int, degree: Optional[int] = None) -> BoundsReport:
@@ -180,21 +175,10 @@ class AnalysisProfile:
     sarkar_maitra_bound: Optional[int] = None
 
     def as_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "weight": self.weight,
-            "balanced": self.balanced,
-            "nonlinearity": self.nonlinearity,
-            "degree": self.degree,
-            "ci_order": self.ci_order,
-            "resiliency": self.resiliency,
-            "bent": self.bent,
-            "plateaued_order": self.plateaued_order,
-            "semi_bent": self.semi_bent,
-        }
+        out = asdict(self)
         # reported only when the bound statement applies
-        if 0 <= self.resiliency <= self.n - 2:
-            out["sarkar_maitra_bound"] = self.sarkar_maitra_bound
+        if not 0 <= self.resiliency <= self.n - 2:
+            del out["sarkar_maitra_bound"]
         return out
 
     def to_json(self) -> str:

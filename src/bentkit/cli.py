@@ -5,13 +5,16 @@ Reports are JSON on stdout; truth tables travel as files in the
 canonical format.  Exit codes: 0 ok, 2 malformed or missing input file
 (truth table or parameter file), 3 violated construction premise or bad
 parameter, 4 oracle size cap exceeded, 1 anything else (including
-oracle divergence and an unwritable output file).
+oracle divergence and an unwritable output file).  An output file is
+written whole or not at all.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -28,8 +31,8 @@ from .galois import GaloisField
 
 
 def _load(path: str) -> BooleanFunction:
-    try:
-        text = Path(path).read_text()
+    try:  # the exact bytes: no newline translation, no locale encoding
+        text = Path(path).read_bytes().decode()
     except (OSError, UnicodeDecodeError) as exc:
         raise TruthTableFormatError(f"cannot read {path}: {exc}") from exc
     return parse_truth_table(text)
@@ -40,9 +43,21 @@ def _write(f: BooleanFunction, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
         return
+    tmp = None
     try:
-        Path(path).write_text(text)
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise OSError("not a regular file")
+        # a temporary file beside the target (through a symlink, as a plain
+        # write would go), renamed over it once complete
+        target = Path(os.path.realpath(path))
+        with open(target.with_name(f".{target.name}.{os.getpid()}.tmp"), "x") as fh:
+            tmp = fh.name
+            fh.write(text)
+        os.replace(tmp, target)
     except OSError as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
         raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 

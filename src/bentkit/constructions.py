@@ -32,15 +32,6 @@ def check_total(n: int) -> None:
         raise ValueError(f"composite output would need {n} > {MAX_VARS} variables")
 
 
-def _ext_x(block: np.ndarray, ybits: int) -> np.ndarray:
-    """Lift an x-block table onto (x, y) index space (x in the top bits)."""
-    return np.repeat(block, 1 << ybits)
-
-
-def _ext_y(block: np.ndarray, xbits: int) -> np.ndarray:
-    return np.tile(block, 1 << xbits)
-
-
 def _require_bent(*named: tuple[str, BooleanFunction]) -> None:
     """Raise PremiseError at the first (name, function) that is not bent."""
     for name, fn in named:
@@ -226,7 +217,7 @@ def mm_function(
     parity = (popcount_table(phi.r) & 1).astype(np.uint8)
     imgs = np.array(phi.images, dtype=np.uint32)
     x = np.arange(1 << phi.r, dtype=np.uint32)
-    table = parity[x[:, None] & imgs[None, :]] ^ u.values()[None, :]
+    table = parity[np.bitwise_and.outer(x, imgs)] ^ u.values()
     return BooleanFunction(phi.r + phi.k, table.reshape(-1))
 
 
@@ -253,7 +244,7 @@ def psap_bent(field: GaloisField, theta: Sequence[int]) -> BooleanFunction:
     logs = field.log[field.reverse_bits(np.arange(field.order))]
     logs = logs.astype(np.min_scalar_type(2 * span))
     powers = np.array(bits, dtype=np.uint8)[field.exp]
-    table = np.concatenate([powers, powers])[logs[:, None] + (span - logs)[None, :]]
+    table = np.concatenate([powers, powers])[np.add.outer(logs, span - logs)]
     table[0, :] = table[:, 0] = bits[0]
     return BooleanFunction(2 * m, table.reshape(-1))
 
@@ -272,7 +263,7 @@ def class_d_bent(
     if image != e1.orthogonal().members():
         raise PremiseError("class D requires phi(E2) to equal the dual of E1")
     base = mm_function(phi, BooleanFunction.zero(k))
-    prod = _ext_x(e1.indicator(), k) & _ext_y(e2.indicator(), k)
+    prod = np.bitwise_and.outer(e1.indicator(), e2.indicator()).reshape(-1)
     return BooleanFunction(2 * k, base.values() ^ prod)
 
 
@@ -289,9 +280,8 @@ def class_d_e1(phi: PermutationMap, e2: LinearSubspace) -> LinearSubspace:
 def direct_sum(f: BooleanFunction, g: BooleanFunction) -> BooleanFunction:
     """h(x, y) = f(x) + g(y) on n+m variables."""
     check_total(f.n + g.n)
-    return BooleanFunction(
-        f.n + g.n, _ext_x(f.values(), g.n) ^ _ext_y(g.values(), f.n)
-    )
+    table = np.bitwise_xor.outer(f.values(), g.values())
+    return BooleanFunction(f.n + g.n, table.reshape(-1))
 
 
 def _indirect_tables(
@@ -301,14 +291,10 @@ def _indirect_tables(
     dg: BooleanFunction,
 ) -> BooleanFunction:
     """fa(x) + gb(y) + df(x) dg(y) with the block layout."""
-    p, q = fa.n, gb.n
-    check_total(p + q)
-    table = (
-        _ext_x(fa.values(), q)
-        ^ _ext_y(gb.values(), p)
-        ^ (_ext_x(df.values(), q) & _ext_y(dg.values(), p))
-    )
-    return BooleanFunction(p + q, table)
+    check_total(fa.n + gb.n)
+    table = np.bitwise_and.outer(df.values(), dg.values())
+    table ^= np.bitwise_xor.outer(fa.values(), gb.values())
+    return BooleanFunction(fa.n + gb.n, table.reshape(-1))
 
 
 def indirect_sum(
@@ -326,6 +312,23 @@ def indirect_sum(
     return _indirect_tables(f1, f1 ^ f2, g1, g1 ^ g2)
 
 
+def _with_fresh_product(a: BooleanFunction, b: BooleanFunction) -> BooleanFunction:
+    """a(x) + b(x) z on n+1 variables, the fresh z appended after x_n."""
+    z = BooleanFunction.variable(1, 1)
+    return _indirect_tables(a, b, BooleanFunction.zero(1), z)
+
+
+def _rothaus_halves(
+    f1: BooleanFunction, f2: BooleanFunction, f3: BooleanFunction
+) -> tuple[BooleanFunction, BooleanFunction]:
+    """The Rothaus extension maj(f1, f2, f3) + (f1+f2) y + (f1+f3) z + y z
+    split at its last fresh variable z: the base half (z = 0) is
+    maj + (f1+f2) y and the difference half is (f1+f3) + y."""
+    maj = (f1 & f2) ^ (f1 & f3) ^ (f2 & f3)
+    one = BooleanFunction.constant(f1.n, 1)
+    return _with_fresh_product(maj, f1 ^ f2), _with_fresh_product(f1 ^ f3, one)
+
+
 def rothaus(
     f1: BooleanFunction, f2: BooleanFunction, f3: BooleanFunction
 ) -> BooleanFunction:
@@ -336,14 +339,7 @@ def rothaus(
         raise ValueError("the three inputs must share a variable count")
     check_total(f1.n + 2)
     _require_bent(*_with_xor("f", f1, f2, f3))
-    maj = (f1 & f2) ^ (f1 & f3) ^ (f2 & f3)
-    c00 = maj.values()
-    c01 = c00 ^ (f1 ^ f3).values()
-    c10 = c00 ^ (f1 ^ f2).values()
-    c11 = c00 ^ (f2 ^ f3).values() ^ 1
-    return BooleanFunction(
-        f1.n + 2, np.stack([c00, c01, c10, c11], axis=1).reshape(-1)
-    )
+    return _with_fresh_product(*_rothaus_halves(f1, f2, f3))
 
 
 # -- the restricted indirect sum -----------------------------------------
@@ -402,10 +398,12 @@ def mm_restricted_sum(
         raise ValueError("mu and rho must index an affine coordinate")
     fside = mm_function(phi.drop_coordinate(mu), u)  # n-1 variables
     gside = mm_function(psi.drop_coordinate(rho), v)  # m-1 variables
-    # phi_mu(y) and psi_rho(y), lifted over the x block and the y block
-    cf = BooleanFunction(fside.n, _ext_y(phi.coordinate(mu).values(), phi.k - 1))
-    cg = BooleanFunction(gside.n, _ext_y(psi.coordinate(rho).values(), psi.k - 1))
-    return _indirect_tables(fside, cf, gside, cg)
+    # phi_mu(y) and psi_rho(y) as functions of each side's (x', y)
+    cf = np.tile(phi.coordinate(mu).values(), 1 << (phi.k - 1))
+    cg = np.tile(psi.coordinate(rho).values(), 1 << (psi.k - 1))
+    return _indirect_tables(
+        fside, BooleanFunction(fside.n, cf), gside, BooleanFunction(gside.n, cg)
+    )
 
 
 def _trace_hyperplane_split(
@@ -485,28 +483,12 @@ def rothaus_restricted_sum(
     g2: BooleanFunction,
     g3: BooleanFunction,
 ) -> BooleanFunction:
-    """Combine two Rothaus extensions into n+m+2 variables, built from
-    the explicit formula; bit-identical to splitting the two extensions
-    at their last fresh variable and recombining."""
+    """Combine two Rothaus extensions into n+m+2 variables: the indirect
+    sum of their halves at the last fresh variable, bit-identical to
+    restricted_indirect_sum of the two extensions at that variable."""
     _require_bent(*_with_xor("f", f1, f2, f3), *_with_xor("g", g1, g2, g3))
-    n, m = f1.n, g1.n
-    check_total(n + m + 2)
-    xn1 = np.tile(np.array([0, 1], dtype=np.uint8), 1 << n)  # x_(n+1), block LSB
-    ym1 = np.tile(np.array([0, 1], dtype=np.uint8), 1 << m)
-    majf = ((f1 & f2) ^ (f1 & f3) ^ (f2 & f3)).values()
-    majg = ((g1 & g2) ^ (g1 & g3) ^ (g2 & g3)).values()
-    fpart = np.repeat(majf, 2) ^ (np.repeat((f1 ^ f2).values(), 2) & xn1)
-    gpart = np.repeat(majg, 2) ^ (np.repeat((g1 ^ g2).values(), 2) & ym1)
-    d13f = np.repeat((f1 ^ f3).values(), 2)
-    d13g = np.repeat((g1 ^ g3).values(), 2)
-    xb, yb = n + 1, m + 1
-    A = _ext_x(fpart, yb)
-    B = _ext_y(gpart, xb)
-    C = _ext_x(d13f, yb)
-    D = _ext_y(d13g, xb)
-    X = _ext_x(xn1, yb)
-    Y = _ext_y(ym1, xb)
-    return BooleanFunction(xb + yb, A ^ B ^ (C & D) ^ (C & Y) ^ (D & X) ^ (X & Y))
+    check_total(f1.n + g1.n + 2)
+    return _indirect_tables(*_rothaus_halves(f1, f2, f3), *_rothaus_halves(g1, g2, g3))
 
 
 def class_d_restricted_sum(
@@ -535,18 +517,13 @@ class BentTriple:
     """Three bent functions whose XOR is bent with matching dual sum.
 
     certified means it was verified that f1, f2, f3 and nu1 = f1+f2+f3
-    are all bent and dual(nu1) = dual(f1)+dual(f2)+dual(f3) bit-exactly.
+    are all bent and dual(nu1) = dual(f1)+dual(f2)+dual(f3) bit-exactly;
+    only certify sets it.
     """
 
     __slots__ = ("f1", "f2", "f3", "certified")
 
-    def __init__(
-        self,
-        f1: BooleanFunction,
-        f2: BooleanFunction,
-        f3: BooleanFunction,
-        certified: bool = False,
-    ):
+    def __init__(self, f1: BooleanFunction, f2: BooleanFunction, f3: BooleanFunction):
         if not (f1.n == f2.n == f3.n):
             raise ValueError("triple members must share a variable count")
         if f1.n % 2:
@@ -554,7 +531,7 @@ class BentTriple:
         self.f1 = f1
         self.f2 = f2
         self.f3 = f3
-        self.certified = certified
+        self.certified = False
 
     @property
     def n(self) -> int:
@@ -573,7 +550,8 @@ class BentTriple:
         _require_bent(("f1", f1), ("f2", f2), ("f3", f3), ("f1+f2+f3", nu1))
         if dual(nu1) != dual(f1) ^ dual(f2) ^ dual(f3):
             raise PremiseError("the dual of the XOR must equal the XOR of the duals")
-        return cls(f1, f2, f3, certified=True)
+        triple.certified = True
+        return triple
 
     def __repr__(self) -> str:
         tag = "certified" if self.certified else "unverified"
@@ -629,8 +607,9 @@ def generalized_indirect_sum(
         _require_bent(*_with_xor("g", g1, g2, g3))
     elif mode is not None:
         raise ValueError(f"unknown mode {mode!r}")
-    cross = _ext_x((f2 ^ f3).values(), m) & _ext_y((g2 ^ g3).values(), n)
-    return _indirect_tables(f1, f1 ^ f2, g1, g1 ^ g2) ^ BooleanFunction(n + m, cross)
+    cross = np.bitwise_and.outer((f2 ^ f3).values(), (g2 ^ g3).values())
+    h = _indirect_tables(f1, f1 ^ f2, g1, g1 ^ g2)
+    return h ^ BooleanFunction(n + m, cross.reshape(-1))
 
 
 _CASE_MULTIPLIER = {1: "g1", 2: "nu2", 3: "g2", 4: "g3"}

@@ -10,7 +10,7 @@ demand for the transform kernels.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -132,14 +132,6 @@ class BooleanFunction:
         if const:
             bits ^= 1
         return cls(n, bits)
-
-    @classmethod
-    def indicator(cls, n: int, points: Iterable) -> "BooleanFunction":
-        """1 on the given points (vectors or indices), 0 elsewhere."""
-        mask = 0
-        for p in points:
-            mask |= 1 << _as_index(p, n)
-        return cls(n, mask)
 
     # -- basic accessors ----------------------------------------------
 
@@ -280,9 +272,11 @@ def parse_truth_table(text: str) -> BooleanFunction:
     digits = head[2:]
     if not head.startswith("n=") or not (digits.isascii() and digits.isdigit()):
         raise TruthTableFormatError(f"malformed header line {head!r}")
-    n = int(digits)
+    n = int(digits) if len(digits) < 10 else 0  # int() refuses over 4300 digits
     if not 1 <= n <= MAX_VARS:
-        raise TruthTableFormatError(f"variable count {n} outside [1, {MAX_VARS}]")
+        raise TruthTableFormatError(
+            f"variable count {digits[:9]} outside [1, {MAX_VARS}]"
+        )
     if not body.startswith("bits="):
         raise TruthTableFormatError("second line must start with 'bits='")
     payload = body[5:]
@@ -348,10 +342,6 @@ class WalshSpectrum:
     def max_abs(self) -> int:
         return int(np.max(np.abs(self.values)))
 
-    @property
-    def support_size(self) -> int:
-        return int(np.count_nonzero(self.values))
-
 
 def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
     """W_f(w) = sum_x (-1)^(f(x) xor w.x) via the in-place butterfly.
@@ -393,14 +383,6 @@ class AnfPolynomial:
             raise ValueError("coefficient mask has bits beyond 2^n entries")
         self.n = n
         self.mask = mask
-
-    def coefficient(self, subset: Iterable[int]) -> int:
-        idx = 0
-        for j in subset:
-            if not 1 <= j <= self.n:
-                raise ValueError(f"variable index {j} out of range")
-            idx |= 1 << (self.n - j)
-        return (self.mask >> idx) & 1
 
     def monomials(self) -> list[tuple[int, ...]]:
         """Sorted variable-index tuples of the nonzero coefficients."""

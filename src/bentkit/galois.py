@@ -10,8 +10,6 @@ exp/log tables over the smallest generator of the multiplicative group.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 MAX_DEGREE = 16
@@ -51,18 +49,11 @@ class GaloisField:
 
     __slots__ = ("m", "reduction_poly", "order", "exp", "log")
 
-    def __init__(self, m: int, reduction_poly: int | None = None):
+    def __init__(self, m: int):
         if not 1 <= m <= MAX_DEGREE:
             raise ValueError(f"extension degree must be in [1, {MAX_DEGREE}], got {m}")
-        if reduction_poly is None:
-            reduction_poly = smallest_irreducible(m)
-        elif not is_irreducible(reduction_poly, m):
-            raise ValueError(
-                f"reduction polynomial {reduction_poly:#x} is not an "
-                f"irreducible of degree {m}"
-            )
         self.m = m
-        self.reduction_poly = reduction_poly
+        self.reduction_poly = smallest_irreducible(m)
         self.order = 1 << m
         self.exp, self.log = self._tables()
 
@@ -123,29 +114,12 @@ class GaloisField:
             raise RuntimeError(f"trace of {p} is {acc}: the modulus is not irreducible")
         return acc
 
-    # identification of F_2^m with the field: bit j-1 of the element
-    # carries vector coordinate x_j
-
-    def from_vector(self, x: Sequence[int]) -> int:
-        vec = tuple(x)
-        if len(vec) != self.m:
-            raise ValueError(f"expected {self.m} coordinates, got {len(vec)}")
-        e = 0
-        for j, b in enumerate(vec, start=1):
-            if b not in (0, 1):
-                raise ValueError(f"vector entries must be bits, got {b!r}")
-            e |= b << (j - 1)
-        return e
-
-    def to_vector(self, p: int) -> tuple[int, ...]:
-        self._check(p)
-        return tuple((p >> (j - 1)) & 1 for j in range(1, self.m + 1))
-
     def reverse_bits(self, v):
         """Element <-> block index, elementwise on integer arrays too.
 
-        A block index of m variables holds x_1 in its top bit and an
-        element holds x_j in bit j-1, so each is the other read backwards.
+        This is the identification of F_2^m with the field: a block index
+        of m variables holds x_1 in its top bit and an element holds x_j
+        in bit j-1, so each is the other read backwards.
         """
         out = 0
         for j in range(self.m):

@@ -160,11 +160,14 @@ def random_resilient(n: int, t: int, rng: XorShift64Star) -> BooleanFunction:
     return mm_function(PermutationMap(images, r=r), random_function(s, rng))
 
 
+_TRIPLE_TRIES = 400  # three-draw attempts before the affine fallback
+
+
 def random_resilient_triple(
-    n: int, t: int, rng: XorShift64Star, max_tries: int = 400
+    n: int, t: int, rng: XorShift64Star
 ) -> tuple[BooleanFunction, BooleanFunction, BooleanFunction]:
     """Three t-resilient functions whose XOR is also t-resilient."""
-    for _ in range(max_tries):
+    for _ in range(_TRIPLE_TRIES):
         f1 = random_resilient(n, t, rng)
         f2 = random_resilient(n, t, rng)
         f3 = random_resilient(n, t, rng)

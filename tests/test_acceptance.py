@@ -41,7 +41,6 @@ from bentkit import (
     walsh_case,
     walsh_transform,
 )
-from bentkit.constructions import _ext_x, _ext_y
 from bentkit.oracle import naive_walsh, resiliency_by_definition
 from bentkit.rand import (
     XorShift64Star,
@@ -465,7 +464,7 @@ def test_table_one_shape_difference():
         general = generalized_indirect_sum(f1, f2, f3, g1, g2, g3)
         plain = indirect_sum(f1, f2, g1, g2)
         term = BooleanFunction(
-            6 + m, _ext_x((f2 ^ f3).values(), m) & _ext_y(yi.values(), 6)
+            6 + m, np.repeat((f2 ^ f3).values(), 1 << m) & np.tile(yi.values(), 1 << 6)
         )
         assert mobius(general).mask ^ mobius(plain).mask == mobius(term).mask
     # the f1 = f3 row
@@ -475,8 +474,8 @@ def test_table_one_shape_difference():
     plain = indirect_sum(f1, f2, g1, g2)
     term = BooleanFunction(
         6 + m,
-        _ext_x((f1 ^ f2).values(), m)
-        & _ext_y(BooleanFunction.variable(m, 2).values(), 6),
+        np.repeat((f1 ^ f2).values(), 1 << m)
+        & np.tile(BooleanFunction.variable(m, 2).values(), 1 << 6),
     )
     assert mobius(general).mask ^ mobius(plain).mask == mobius(term).mask
     del triple2

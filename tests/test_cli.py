@@ -320,6 +320,35 @@ def test_build_error_paths_exit_with_a_message(tmp_path, args, code, message):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("target", [
+    pytest.param(lambda t: t, id="directory"),
+    pytest.param(lambda t: "/dev/stdout", id="dev-stdout"),
+])
+def test_output_that_is_not_a_regular_file_is_refused(tmp_path, target):
+    path = target(tmp_path)
+    proc = run("build", "mm", "--param-file", put_json(tmp_path, {"k": 2}),
+               "-o", path, expect=1)
+    assert proc.stderr == f"error: cannot write {path}: not a regular file\n"
+    assert proc.stdout == ""
+
+
+def test_failed_write_keeps_the_old_output(tmp_path, monkeypatch, capsys):
+    from bentkit import cli
+
+    out = tmp_path / "h.tt"
+    out.write_text("old\n")
+    params = put_json(tmp_path, {"k": 2})
+
+    def full_disk(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "replace", full_disk)
+    assert cli.main(["build", "mm", "--param-file", str(params), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {out}: No space left on device\n"
+    assert out.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.tt", "params.json"]
+
+
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_cli_file_round_trip_small_n(tmp_path, n):
     f = random_function(n, XorShift64Star(n))

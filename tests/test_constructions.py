@@ -346,17 +346,19 @@ def test_rothaus_collapse_and_premises():
 
 def test_rothaus_restricted_sum_collapse():
     import numpy as np
-    from bentkit.constructions import _ext_x, _ext_y
 
     rng = XorShift64Star(43)
     f = random_mm_bent(4, rng)
     g = random_mm_bent(4, rng)
     h = rothaus_restricted_sum(f, f, f, g, g, g)
     # collapses to f(x) + g(y) + x5*y5 on the (n+1)+(m+1) layout
-    fx = _ext_x(f.values(), 1)  # f over the 5-bit x block
-    gy = _ext_x(g.values(), 1)
-    fresh = _ext_y(np.array([0, 1], dtype=np.uint8), 4)  # x5 resp. y5
-    table = _ext_x(fx, 5) ^ _ext_y(gy, 5) ^ (_ext_x(fresh, 5) & _ext_y(fresh, 5))
+    fx = np.repeat(f.values(), 2)  # f over the 5-bit x block
+    gy = np.repeat(g.values(), 2)
+    fresh = np.tile(np.array([0, 1], dtype=np.uint8), 1 << 4)  # x5 resp. y5
+    table = (
+        np.repeat(fx, 1 << 5) ^ np.tile(gy, 1 << 5)
+        ^ (np.repeat(fresh, 1 << 5) & np.tile(fresh, 1 << 5))
+    )
     assert h == BooleanFunction(10, table)
     assert is_bent(h)
 
@@ -615,6 +617,8 @@ def test_walsh_case_requires_certification():
     f = random_mm_bent(4, rng)
     with pytest.raises(PremiseError):
         walsh_case(BentTriple(f, f, f), 0)
+    with pytest.raises(TypeError):  # only BentTriple.certify sets certified
+        BentTriple(f, f, f, certified=True)
 
 
 # -- resilient routes ------------------------------------------------------------
@@ -703,10 +707,10 @@ def test_table_shape_difference_against_indirect_sum():
     g3 = g2 ^ yi
     lhs = generalized_indirect_sum(f1, f2, f3, g1, g2, g3)
     rhs = indirect_sum(f1, f2, g1, g2)
-    from bentkit.constructions import _ext_x, _ext_y
+    import numpy as np
 
     prod = BooleanFunction(
-        6 + m, _ext_x((f2 ^ f3).values(), m) & _ext_y(yi.values(), 6)
+        6 + m, np.repeat((f2 ^ f3).values(), 1 << m) & np.tile(yi.values(), 1 << 6)
     )
     assert mobius(lhs).mask ^ mobius(rhs).mask == mobius(prod).mask
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from bentkit import GaloisField
@@ -16,8 +17,6 @@ def test_irreducibility_check():
     assert is_irreducible(0b111, 2)
     assert not is_irreducible(0b101, 2)  # (X+1)^2
     assert not is_irreducible(0b110, 2)  # X(X+1)
-    with pytest.raises(ValueError):
-        GaloisField(3, reduction_poly=0b1001)  # X^3+1 = (X+1)(X^2+X+1)
 
 
 def test_gf4_multiplication_table():
@@ -78,12 +77,16 @@ def test_mul_commutative_associative(m):
                 assert gf.mul(gf.mul(a, b), c) == gf.mul(a, gf.mul(b, c))
 
 
-def test_vector_bijection():
+def test_reverse_bits_is_the_block_element_order():
     gf = GaloisField(4)
-    assert gf.from_vector((0, 0, 0, 0)) == 0
-    assert gf.from_vector((1, 0, 0, 0)) == 1  # e_1 maps to the element 1
-    for e in range(16):
-        assert gf.from_vector(gf.to_vector(e)) == e
+    assert gf.reverse_bits(0) == 0
+    assert gf.reverse_bits(0b1000) == 1  # x_1 = 1 is the element 1
+    assert gf.reverse_bits(0b0110) == 0b0110
+    blocks = np.arange(16)
+    elems = gf.reverse_bits(blocks)
+    assert sorted(elems.tolist()) == list(range(16))
+    assert np.array_equal(gf.reverse_bits(elems), blocks)  # an involution
+    assert elems.tolist() == [gf.reverse_bits(b) for b in range(16)]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
