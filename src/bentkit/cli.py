@@ -135,9 +135,9 @@ def _params(path: str | None) -> dict:
     object is malformed input, like an unreadable truth table."""
     if path is None:
         return {}
-    try:
+    try:  # RecursionError: nesting deeper than the decoder's recursion limit
         params = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise TruthTableFormatError(f"cannot read {path}: {exc}") from exc
     if not isinstance(params, dict):
         raise TruthTableFormatError(f"{path} must hold a JSON object")
@@ -318,9 +318,11 @@ def cmd_build(args) -> int:
     for option in options:
         if getattr(args, option) is None:
             raise PremiseError(f"missing --{option} for {name}")
+    # TypeError: a parameter value of the wrong JSON type; OverflowError: a
+    # number such as 1e400, which JSON reads as infinity, used as an integer
     try:
         h, claims, cert = build(args, p, rand.XorShift64Star(args.seed))
-    except TypeError as exc:  # a parameter-file value of the wrong JSON type
+    except (TypeError, OverflowError) as exc:
         raise PremiseError(f"malformed parameters for {name}: {exc}") from exc
     _write(h, args.output)
     out = {"construction": name, "n": h.n, "output": args.output, "verified": claims}
@@ -372,22 +374,31 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
+# every character str.splitlines breaks at, spelled as an escape
+_ONE_LINE = str.maketrans(
+    {c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+)
+
+
+def _fail(exc: Exception, code: int) -> int:
+    """One error line, even when the message quotes a path or value that
+    holds a line break."""
+    print(f"error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except TruthTableFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2)
     except CapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return _fail(exc, 4)
     except (PremiseError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(exc, 3)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc, 1)
 
 
 if __name__ == "__main__":

@@ -214,7 +214,7 @@ def mm_function(
     check_total(phi.r + phi.k)
     if require_bent and not phi.is_permutation:
         raise PremiseError("bent M-M functions need a Boolean permutation")
-    parity = (popcount_table(phi.r) & 1).astype(np.uint8)
+    parity = popcount_table(phi.r) & 1
     imgs = np.array(phi.images, dtype=np.uint32)
     x = np.arange(1 << phi.r, dtype=np.uint32)
     table = parity[np.bitwise_and.outer(x, imgs)] ^ u.values()
@@ -357,6 +357,7 @@ def restricted_indirect_sum(
     variables.  variant picks which restriction serves as the base term
     on each side ("00" uses f_0 and g_0); all four variants are bent.
     """
+    check_total(f.n + g.n - 2)
     if f.n % 2 or g.n % 2:
         raise PremiseError("inputs must have even variable counts")
     if variant not in ("00", "01", "10", "11"):
@@ -374,6 +375,7 @@ def restricted_indirect_sum_dual(
 ) -> BooleanFunction:
     """The dual of restricted_indirect_sum(f, mu, g, rho, "00"), built
     from the same formula over restrictions of the two duals."""
+    check_total(f.n + g.n - 2)
     df, dg = dual(f), dual(g)
     df0, df1 = df.restrict(mu, 0), df.restrict(mu, 1)
     dg0, dg1 = dg.restrict(rho, 0), dg.restrict(rho, 1)
@@ -392,6 +394,7 @@ def mm_restricted_sum(
     both M-M parts lose their mu-th / rho-th affine term and the product
     phi_mu(x'') psi_rho(y'') is added.  Bit-identical to composing
     mm_function with restricted_indirect_sum at the same coordinates."""
+    check_total(2 * phi.k + 2 * psi.k - 2)
     if not (phi.is_permutation and psi.is_permutation):
         raise PremiseError("both maps must be Boolean permutations")
     if not 1 <= mu <= phi.k or not 1 <= rho <= psi.k:
@@ -468,6 +471,7 @@ def psap_restricted_sum(
 ) -> BooleanFunction:
     """Restricted indirect sum of two partial-spread bent functions,
     split along trace hyperplanes instead of coordinate hyperplanes."""
+    check_total(2 * field_f.m + 2 * field_g.m - 2)
     f = psap_bent(field_f, theta)
     g = psap_bent(field_g, vartheta)
     f0, f1 = _trace_hyperplane_split(f, field_f, form_f, shift_f)
@@ -486,8 +490,8 @@ def rothaus_restricted_sum(
     """Combine two Rothaus extensions into n+m+2 variables: the indirect
     sum of their halves at the last fresh variable, bit-identical to
     restricted_indirect_sum of the two extensions at that variable."""
-    _require_bent(*_with_xor("f", f1, f2, f3), *_with_xor("g", g1, g2, g3))
     check_total(f1.n + g1.n + 2)
+    _require_bent(*_with_xor("f", f1, f2, f3), *_with_xor("g", g1, g2, g3))
     return _indirect_tables(*_rothaus_halves(f1, f2, f3), *_rothaus_halves(g1, g2, g3))
 
 
@@ -503,6 +507,7 @@ def class_d_restricted_sum(
 ) -> BooleanFunction:
     """Restricted indirect sum of two class-D bent functions at affine
     coordinates mu and rho (composition route)."""
+    check_total(2 * phi.k + 2 * psi.k - 2)
     f = class_d_bent(phi, e1, e2)
     g = class_d_bent(psi, xi1, xi2)
     if not 1 <= mu <= phi.k or not 1 <= rho <= psi.k:
@@ -686,6 +691,7 @@ def resilient_indirect_sum(
     bound is attained exactly when the triple members are pairwise
     distinct up to complement.
     """
+    check_total(triple.n + g1.n)
     if not triple.certified:
         raise PremiseError("the triple must be certified")
     if not (g1.n == g2.n == g3.n):
@@ -715,6 +721,7 @@ def resilient_indirect_sum_from_pair(
     least 2^(n+m-1) - 2^(n/2-1) * max(max|W_p|, max|W_q|), attained
     exactly when f1 = f2 = f3 fails.
     """
+    check_total(triple.n + p.n)
     if not triple.certified:
         raise PremiseError("the triple must be certified")
     if p.n != q.n:

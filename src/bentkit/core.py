@@ -26,7 +26,7 @@ def popcount_table(n: int) -> np.ndarray:
     tab = _POPCOUNT_CACHE.get(n)
     if tab is None:
         idx = np.arange(1 << n, dtype=np.uint32)
-        tab = np.bitwise_count(idx).astype(np.uint8)
+        tab = np.bitwise_count(idx)  # uint8
         tab.flags.writeable = False
         _POPCOUNT_CACHE[n] = tab
     return tab
@@ -60,13 +60,15 @@ def _as_index(a, n: int) -> int:
     return encode_point(vec)
 
 
+def _table_bytes(n: int) -> int:
+    return max(1, (1 << n) // 8)
+
+
 def _unpack_bits(mask: int, n: int) -> np.ndarray:
     """Bit-packed table -> uint8 array of length 2^n (index order)."""
-    size = 1 << n
-    nbytes = max(1, size // 8)
-    raw = mask.to_bytes(nbytes, "little")
+    raw = mask.to_bytes(_table_bytes(n), "little")
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return bits[:size]
+    return bits[: 1 << n]
 
 
 def _pack_bits(bits: np.ndarray) -> int:
@@ -75,7 +77,9 @@ def _pack_bits(bits: np.ndarray) -> int:
 
 
 class BooleanFunction:
-    """A function F_2^n -> F_2 held as a bit-packed truth table."""
+    """A function F_2^n -> F_2 held as a bit-packed truth table, built from
+    an int mask (bit i = value at index i) or from 2^n entries 0/1 in a
+    sequence or array; anything else is a ValueError."""
 
     __slots__ = ("_n", "_mask", "_spectrum", "_weight")
 
@@ -87,19 +91,13 @@ class BooleanFunction:
             mask = int(table)
             if mask < 0 or mask >> size:
                 raise ValueError("table mask has bits beyond 2^n entries")
-        elif isinstance(table, np.ndarray):
-            if table.shape != (size,):
-                raise ValueError(f"table length must be {size}, got {table.shape}")
-            mask = _pack_bits(table & 1)
         else:
-            vals = list(table)
-            if len(vals) != size:
-                raise ValueError(f"table length must be {size}, got {len(vals)}")
-            mask = 0
-            for i, v in enumerate(vals):
-                if v not in (0, 1):
-                    raise ValueError(f"table entries must be bits, got {v!r}")
-                mask |= v << i
+            bits = np.asarray(table)
+            if bits.shape != (size,):
+                raise ValueError(f"table length must be {size}, got shape {bits.shape}")
+            if np.count_nonzero((bits != 0) & (bits != 1)):
+                raise ValueError("table entries must be bits (0 or 1)")
+            mask = _pack_bits(bits)
         self._n = n
         self._mask = mask
         self._spectrum = None
@@ -128,7 +126,7 @@ class BooleanFunction:
         if not 0 <= mask < (1 << n):
             raise ValueError(f"linear mask {mask} out of range for n={n}")
         idx = np.arange(1 << n, dtype=np.uint32)
-        bits = (np.bitwise_count(idx & np.uint32(mask)) & 1).astype(np.uint8)
+        bits = np.bitwise_count(idx & np.uint32(mask)) & 1
         if const:
             bits ^= 1
         return cls(n, bits)
@@ -243,18 +241,18 @@ class BooleanFunction:
 # For n >= 2 the payload is 2^n / 4 lowercase hex digits; bit i of the
 # table is bit (3 - (i mod 4)) of hex digit floor(i/4) (MSB-first within
 # a digit).  For n = 1 the payload is two literal 0/1 characters giving
-# f(0) and f(1).
+# f(0) and f(1).  Byte j of a packed mask holds bits 8j..8j+7 LSB first
+# and the payload reads each byte MSB first: both ways reverse every byte.
 
-_HEX = "0123456789abcdef"
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def serialize_truth_table(f: BooleanFunction) -> str:
     if f.n == 1:
         payload = f"{f.bit(0)}{f.bit(1)}"
     else:
-        nibbles = f.values().reshape(-1, 4)
-        digits = nibbles @ np.array([8, 4, 2, 1], dtype=np.uint8)
-        payload = "".join(_HEX[d] for d in digits)
+        raw = f.mask.to_bytes(_table_bytes(f.n), "little")
+        payload = raw.translate(_REVERSED).hex()[: (1 << f.n) // 4]
     return f"n={f.n}\nbits={payload}\n"
 
 
@@ -285,18 +283,18 @@ def parse_truth_table(text: str) -> BooleanFunction:
             raise TruthTableFormatError(
                 "n=1 payload must be two literal 0/1 characters"
             )
-        return BooleanFunction(1, [int(payload[0]), int(payload[1])])
-    want = (1 << n) // 4
-    if len(payload) != want:
+        return BooleanFunction(1, int(payload[::-1], 2))
+    if len(payload) != (1 << n) // 4:
         raise TruthTableFormatError(
             f"payload carries {len(payload) * 4} bits, table needs {1 << n}"
         )
-    try:
-        digits = np.array([_HEX.index(c) for c in payload.lower()], dtype=np.uint8)
+    try:  # fromhex skips ASCII whitespace, which shows as missing bytes
+        raw = bytes.fromhex(payload + "0" * (n == 2))
+        if len(raw) != _table_bytes(n):
+            raise ValueError
     except ValueError:
         raise TruthTableFormatError("payload contains non-hex characters") from None
-    bits = ((digits[:, None] >> np.array([3, 2, 1, 0], dtype=np.uint8)) & 1).reshape(-1)
-    return BooleanFunction(n, bits)
+    return BooleanFunction(n, int.from_bytes(raw.translate(_REVERSED), "little"))
 
 
 # -- Walsh transform ---------------------------------------------------
@@ -306,7 +304,8 @@ class WalshSpectrum:
     """The 2^n signed values W_f(w), same index encoding as the table.
 
     Parseval's identity (sum of squares = 2^(2n)) is enforced at
-    construction; a sequence failing it cannot be a Walsh spectrum.
+    construction; a sequence failing it cannot be a Walsh spectrum.  An
+    int64 array is held as given, not copied, and made read-only.
     """
 
     __slots__ = ("n", "values")
@@ -317,7 +316,6 @@ class WalshSpectrum:
             raise ValueError(f"spectrum length must be {1 << n}")
         if int(np.dot(values, values)) != 1 << (2 * n):
             raise ValueError("Parseval check failed: not a Walsh spectrum")
-        values = values.copy()
         values.flags.writeable = False
         self.n = n
         self.values = values
@@ -423,8 +421,8 @@ class AnfPolynomial:
         return f"AnfPolynomial(n={self.n}, degree={self.degree})"
 
 
-def _mobius_kernel(bits: np.ndarray) -> np.ndarray:
-    a = bits.copy()
+def _mobius_kernel(a: np.ndarray) -> np.ndarray:
+    """The binary Moebius butterfly, in place on a fresh array."""
     size = a.shape[0]
     h = 1
     while h < size:

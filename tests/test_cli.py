@@ -298,6 +298,11 @@ _TRIPLE = ("--f1", "--f2", "--f3")
         lambda t: ["class-d", "--param-file", put_json(t, {"k": 18})],
         3, "composite output would need 36 > 26 variables", id="class-d-too-large"),
     pytest.param(
+        lambda t: ["class-d-restricted-sum", "--param-file",
+                   put_json(t, {"k_f": 12, "k_g": 12})],
+        3, "composite output would need 46 > 26 variables",
+        id="class-d-restricted-sum-too-large"),
+    pytest.param(
         lambda t: ["psap", "--param-file", put_json(t, {"theta": "random"})],
         3, "missing parameter 'm' for psap", id="missing-key"),
     pytest.param(

@@ -721,3 +721,45 @@ def test_generalized_dimension_errors():
     g = random_mm_bent(6, rng)
     with pytest.raises(ValueError):
         generalized_indirect_sum(f, f, g, f, f, f)
+
+
+
+def _zeros(n, count=3):
+    return [BooleanFunction.zero(n)] * count
+
+
+def _flat_map(k):
+    return PermutationMap([0] * (1 << k))  # not a permutation
+
+
+def _unbalanced_psap(m):
+    gf = GaloisField(m)
+    return gf, [1] * gf.order, (1, 0), (1, 0)
+
+
+# Each call is too large and also breaks a premise of its builder.
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: restricted_indirect_sum(*_zeros(14, 1), 1, *_zeros(16, 1), 1),
+                 id="restricted-indirect-sum"),
+    pytest.param(lambda: restricted_indirect_sum_dual(*_zeros(14, 1), 1, *_zeros(16, 1), 1),
+                 id="restricted-indirect-sum-dual"),
+    pytest.param(lambda: mm_restricted_sum(_flat_map(8), _flat_map(7), 1, 1,
+                                           *_zeros(8, 1), *_zeros(7, 1)),
+                 id="mm-restricted-sum"),
+    pytest.param(lambda: class_d_restricted_sum(
+        _flat_map(8), LinearSubspace.zero(8), LinearSubspace.zero(8),
+        _flat_map(7), LinearSubspace.zero(7), LinearSubspace.zero(7), 1, 1),
+                 id="class-d-restricted-sum"),
+    pytest.param(lambda: psap_restricted_sum(*_unbalanced_psap(8), *_unbalanced_psap(7)),
+                 id="psap-restricted-sum"),
+    pytest.param(lambda: rothaus_restricted_sum(*_zeros(12), *_zeros(14)),
+                 id="rothaus-restricted-sum"),
+    pytest.param(lambda: resilient_indirect_sum(BentTriple(*_zeros(14)), *_zeros(14), 0),
+                 id="resilient-indirect-sum"),
+    pytest.param(lambda: resilient_indirect_sum_from_pair(
+        BentTriple(*_zeros(14)), *_zeros(14, 2), 1, 0), id="resilient-indirect-sum-pair"),
+])
+def test_output_size_is_checked_before_any_premise(build):
+    with pytest.raises(ValueError, match="composite output would need 28 > 26") as exc:
+        build()
+    assert type(exc.value) is ValueError  # not a PremiseError

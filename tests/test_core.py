@@ -51,6 +51,23 @@ def test_variable_count_bounds():
         BooleanFunction(27, 0)
 
 
+@pytest.mark.parametrize("bad", [2, -1, 0.5])
+def test_table_entries_must_be_bits(bad):
+    with pytest.raises(ValueError, match="must be bits"):
+        BooleanFunction(2, np.array([0, 1, bad, 1]))
+    with pytest.raises(ValueError, match="must be bits"):
+        BooleanFunction(2, [0, 1, bad, 1])
+
+
+def test_every_bit_sequence_gives_the_same_mask():
+    bits = [0, 1, 1, 0, 1, 0, 0, 0]
+    masks = {
+        BooleanFunction(3, table).mask
+        for table in (bits, tuple(bits), np.array(bits, dtype=np.uint8))
+    }
+    assert masks == {0b10110}
+
+
 # -- truth-table file format -------------------------------------------
 
 

@@ -1,0 +1,96 @@
+"""Fuzzing of `bentkit build` parameter files, in process through cli.main.
+
+Every construction that reads a --param-file gets drawn JSON objects.
+Each key it reads is absent or holds a value of the right kind, which
+may be out of range or a number JSON reads oddly (NaN, a float for a
+count); at most one key holds a value of the wrong JSON type.
+Every run must end with exit 0, 2 or 3, and a nonzero exit prints
+exactly one `error:` line and no traceback.  Sizes are drawn small, or
+so large that the run must fail before any table is built, so no drawn
+build exceeds 10 variables.
+"""
+
+import contextlib
+import io
+import json
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from bentkit.cli import main
+
+_JUNK = (
+    st.none() | st.booleans() | st.floats() | st.text(max_size=3)
+    | st.lists(st.integers(-2, 9), max_size=3) | st.dictionaries(st.text(max_size=2), st.none())
+)
+_SIZE = st.integers(-1, 3) | st.sampled_from([10**6, 2.5, float("nan"), True, "3"])
+_ELEMENT = st.integers(-1, 9) | st.sampled_from(["0x3", "7", "zz", 1e300])
+
+_KEYS = {
+    "size": _SIZE,
+    "map": st.just("random") | st.permutations(range(4))
+    | st.lists(st.integers(-1, 8), max_size=8),
+    "function": st.sampled_from(["random", "absent.tt", ""]),
+    "bits": st.just("random") | st.permutations([1, 1, 0]).map(lambda p: [0, *p])
+    | st.lists(st.integers(0, 2), max_size=8),
+    "pair": st.lists(_ELEMENT, min_size=1, max_size=3),
+    "subspace": st.just("auto") | st.lists(st.integers(-1, 8), max_size=3),
+}
+
+# the --param-file keys each construction reads, by kind
+_READS = {
+    "mm": {"phi": "map", "k": "size", "u": "function"},
+    "psap": {"m": "size", "theta": "bits"},
+    "class-d": {"k": "size", "phi": "map", "e1": "subspace", "e2": "subspace"},
+    "mm-restricted-sum": {
+        "phi": "map", "k_f": "size", "psi": "map", "k_g": "size",
+        "u": "function", "v": "function",
+    },
+    "psap-restricted-sum": {
+        "m_f": "size", "theta": "bits", "form_f": "pair", "shift_f": "pair",
+        "m_g": "size", "vartheta": "bits", "form_g": "pair", "shift_g": "pair",
+    },
+    "class-d-restricted-sum": {
+        "k_f": "size", "k_g": "size", "phi": "map", "psi": "map",
+        "e1": "subspace", "e2": "subspace", "xi1": "subspace", "xi2": "subspace",
+    },
+}
+
+
+@st.composite
+def param_files(draw):
+    name = draw(st.sampled_from(sorted(_READS)))
+    reads = _READS[name]
+    params = {key: draw(_KEYS[kind]) for key, kind in reads.items()
+              if draw(st.integers(0, 4))}  # each key present four times in five
+    if draw(st.booleans()):  # one value of the wrong JSON type
+        params[draw(st.sampled_from(sorted(reads)))] = draw(_JUNK)
+    return name, json.dumps(params)
+
+
+_DEEP = "[" * 50000 + "]" * 50000  # deeper than the JSON decoder can recurse
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=param_files())
+@example(case=("psap-restricted-sum", '{"m_f": 2, "theta": [0, 1, 0, 1], '
+               '"form_f": [1e400, 0], "shift_f": [1, 0], "m_g": 2, '
+               '"vartheta": [0, 1, 0, 1], "form_g": [1, 0], "shift_g": [1, 0]}'))
+@example(case=("mm", '{"phi": [0, 1e400]}'))
+@example(case=("class-d", '{"k": 2, "e2": [1e400]}'))
+@example(case=("psap", _DEEP))
+@example(case=("mm", '{"k": 1, "u": "a\\nb\\u001e"}'))  # line breaks in a path
+def test_every_parameter_file_ends_with_a_documented_exit(tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)  # relative paths in the file resolve here
+    name, text = case
+    (tmp_path / "p.json").write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["build", name, "--param-file", "p.json", "-o", "h.tt"])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code in (2, 3), (code, err.getvalue())
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
