@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import operator
 import os
 import sys
 from pathlib import Path
@@ -33,7 +34,7 @@ from .galois import GaloisField
 def _load(path: str) -> BooleanFunction:
     try:  # the exact bytes: no newline translation, no locale encoding
         text = Path(path).read_bytes().decode()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
         raise TruthTableFormatError(f"cannot read {path}: {exc}") from exc
     return parse_truth_table(text)
 
@@ -144,12 +145,26 @@ def _params(path: str | None) -> dict:
     return params
 
 
+def _reject_booleans(p: dict, name: str) -> None:
+    """No parameter is a boolean, but Python reads JSON true and false as
+    the integers 1 and 0, so a mistyped count or bit would be accepted."""
+    stack = list(p.items())
+    while stack:  # a loop, not recursion: the decoder accepts deep nesting
+        key, value = stack.pop()
+        if isinstance(value, bool):
+            raise PremiseError(f"malformed parameters for {name}: {key!r} holds a boolean")
+        if isinstance(value, list):
+            stack.extend((key, v) for v in value)
+        elif isinstance(value, dict):
+            stack.extend((key, v) for v in value.values())
+
+
 def _element_pair(value, label: str) -> tuple[int, int]:
     """A pair of field elements; strings may use 0x.. hex notation."""
     try:
         a, b = value
-        return (int(a, 0) if isinstance(a, str) else int(a),
-                int(b, 0) if isinstance(b, str) else int(b))
+        return (int(a, 0) if isinstance(a, str) else operator.index(a),
+                int(b, 0) if isinstance(b, str) else operator.index(b))
     except (TypeError, ValueError) as exc:
         raise PremiseError(f"parameter {label} must be a pair of elements") from exc
 
@@ -312,6 +327,7 @@ def cmd_build(args) -> int:
         if getattr(args, flag) is None:
             raise TruthTableFormatError(f"missing --{flag} for {name}")
     p = _params(args.param_file)
+    _reject_booleans(p, name)
     for key in keys:
         if key not in p:
             raise PremiseError(f"missing parameter {key!r} for {name}")
@@ -374,15 +390,16 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
-# every character str.splitlines breaks at, spelled as an escape
+# every character str.splitlines breaks at, and NUL, which a terminal
+# shows as nothing, spelled as an escape
 _ONE_LINE = str.maketrans(
-    {c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+    {c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029\x00"}
 )
 
 
 def _fail(exc: Exception, code: int) -> int:
     """One error line, even when the message quotes a path or value that
-    holds a line break."""
+    holds a line break or a NUL."""
     print(f"error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)
     return code
 

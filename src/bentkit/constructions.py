@@ -16,6 +16,7 @@ pure and deterministic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
@@ -68,7 +69,7 @@ class PermutationMap:
     __slots__ = ("k", "r", "images")
 
     def __init__(self, images: Sequence[int], r: Optional[int] = None):
-        images = tuple(int(v) for v in images)
+        images = tuple(map(operator.index, images))
         size = len(images)
         k = size.bit_length() - 1
         if size != 1 << k or k < 1:
@@ -131,7 +132,7 @@ class LinearSubspace:
             raise ValueError(f"ambient dimension must be in [1, {MAX_VARS}]")
         rows: list[int] = []
         for v in vectors:
-            v = int(v)
+            v = operator.index(v)
             if not 0 <= v < (1 << k):
                 raise ValueError(f"vector {v} outside F_2^{k}")
             for r in rows:
@@ -230,7 +231,7 @@ def psap_bent(field: GaloisField, theta: Sequence[int]) -> BooleanFunction:
     """
     m = field.m
     check_total(2 * m)
-    bits = [int(b) for b in theta]
+    bits = [operator.index(b) for b in theta]
     if len(bits) != field.order or any(b not in (0, 1) for b in bits):
         raise ValueError(f"theta must be a bit table over all {field.order} elements")
     if sum(bits) != field.order // 2:

@@ -41,13 +41,13 @@ class XorShift64Star:
         return (x * 0x2545F4914F6CDD1D) & _MASK64
 
     def bits(self, k: int) -> int:
-        """A uniform k-bit integer."""
-        out = 0
-        got = 0
-        while got < k:
-            out = (out << 64) | self.next_u64()
-            got += 64
-        return out >> (got - k) if k else 0
+        """A uniform k-bit integer: the top k bits of ceil(k / 64) words,
+        the first word drawn most significant."""
+        if k <= 64:  # the common draw: one word, no join
+            return self.next_u64() >> (64 - k) if k else 0
+        words = -(-k // 64)
+        raw = b"".join(self.next_u64().to_bytes(8, "big") for _ in range(words))
+        return int.from_bytes(raw, "big") >> (64 * words - k)
 
     def randrange(self, n: int) -> int:
         if n <= 0:

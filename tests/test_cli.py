@@ -291,6 +291,15 @@ _TRIPLE = ("--f1", "--f2", "--f3")
         lambda t: ["psap", "--param-file", put_json(t, {"m": 3, "theta": 5})],
         3, "malformed parameters for psap", id="theta-not-a-list"),
     pytest.param(
+        lambda t: ["psap", "--param-file", put_json(t, {"m": 2, "theta": "0110"})],
+        3, "malformed parameters for psap", id="theta-a-string"),
+    pytest.param(
+        lambda t: ["class-d", "--param-file", put_json(t, {"k": True})],
+        3, "malformed parameters for class-d", id="k-a-boolean"),
+    pytest.param(
+        lambda t: ["mm", "--param-file", put_json(t, {"k": 1, "u": "a\u0000b"})],
+        2, "cannot read a\\x00b: embedded null byte", id="nul-in-table-path"),
+    pytest.param(
         lambda t: ["mm", "--param-file",
                    put_json(t, {"phi": "random", "k": 18, "u": "random"})],
         3, "composite output would need 36 > 26 variables", id="mm-random-phi-too-large"),

@@ -18,7 +18,7 @@ from bentkit import (
     serialize_truth_table,
     walsh_transform,
 )
-from bentkit.rand import XorShift64Star, random_function
+from bentkit.rand import XorShift64Star, random_function, random_mm_bent
 
 
 def bf(n, bits):
@@ -165,6 +165,54 @@ def test_walsh_spectrum_rejects_non_parseval():
 def test_walsh_w0_is_weight_identity(n, seed):
     f = random_function(n, XorShift64Star(seed))
     assert walsh_transform(f)[0] == (1 << n) - 2 * f.weight
+
+
+def reference_walsh(f):
+    """The int64 butterfly the byte-table kernel replaced, one stage per h."""
+    a = f.signs()
+    size = a.shape[0]
+    h = 1
+    while h < size:
+        b = a.reshape(-1, 2 * h)
+        left = b[:, :h].copy()
+        right = b[:, h:].copy()
+        b[:, :h] = left + right
+        b[:, h:] = left - right
+        h *= 2
+    return a
+
+
+@pytest.mark.parametrize("n", range(1, 19))
+def test_walsh_agrees_with_the_reference_butterfly(n):
+    rng = XorShift64Star(1000 + n)
+    for _ in range(3):
+        f = random_function(n, rng)
+        assert np.array_equal(walsh_transform(f).values, reference_walsh(f))
+
+
+@pytest.mark.parametrize("n", [20, 22])
+def test_walsh_agrees_with_the_reference_butterfly_on_large_bent(n):
+    f = random_mm_bent(n, XorShift64Star(n))
+    got = walsh_transform(f).values
+    assert np.array_equal(got, reference_walsh(f))
+    assert np.all(np.abs(got) == 1 << (n // 2))
+
+
+def test_byte_table_is_the_3_variable_spectrum():
+    from bentkit.core import _BYTE_WALSH
+    from bentkit.oracle import naive_walsh
+
+    assert _BYTE_WALSH.dtype == np.int32 and _BYTE_WALSH.shape == (256, 8)
+    for b in range(256):
+        assert list(_BYTE_WALSH[b]) == list(naive_walsh(BooleanFunction(3, b)).values)
+
+
+def test_walsh_values_are_read_only_int64():
+    values = walsh_transform(random_function(10, XorShift64Star(3))).values
+    assert values.dtype == np.int64
+    assert not values.flags.writeable
+    with pytest.raises(ValueError):
+        values[0] = 0
 
 
 # -- Moebius / ANF ------------------------------------------------------

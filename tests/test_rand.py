@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bentkit import is_bent, resiliency_report
 from bentkit.rand import (
@@ -33,6 +35,24 @@ def test_prng_determinism_and_ranges():
     assert set(vals) <= {3, 4, 5}
     with pytest.raises(ValueError):
         c.randrange(0)
+
+
+def reference_bits(rng, k):
+    """The word-by-word loop bits() replaced: quadratic in k."""
+    out = 0
+    got = 0
+    while got < k:
+        out = (out << 64) | rng.next_u64()
+        got += 64
+    return out >> (got - k) if k else 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, (1 << 64) - 1), k=st.sampled_from([0, 1, 63, 64, 65, 4096, 1 << 16]))
+def test_bits_agrees_with_the_word_loop(seed, k):
+    fast, slow = XorShift64Star(seed), XorShift64Star(seed)
+    assert fast.bits(k) == reference_bits(slow, k)
+    assert fast.state == slow.state  # the same words were drawn
 
 
 def test_shuffle_is_a_permutation():
