@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import BooleanFunction, degree, popcount_table, walsh_transform
+from .core import BooleanFunction, degree, walsh_transform
 from .errors import PremiseError
 
 
@@ -27,11 +27,10 @@ def nonlinearity(f: BooleanFunction) -> int:
 
 
 def is_bent(f: BooleanFunction) -> bool:
-    """n even and every spectrum value equal to +-2^(n/2)."""
-    if f.n % 2:
-        return False
-    amp = 1 << (f.n // 2)
-    return bool(np.all(np.abs(walsh_transform(f).values) == amp))
+    """Every W(w) = +-2^(n/2), tested as max|W|^2 == 2^n: exact as
+    WalshSpectrum enforces Parseval (the 2^n squares sum to 4^n, so the
+    largest is 2^n only if all are).  No odd n passes: 2^n is no square."""
+    return walsh_transform(f).max_abs ** 2 == 1 << f.n
 
 
 def dual(f: BooleanFunction) -> BooleanFunction:
@@ -53,26 +52,23 @@ def resiliency_report(f: BooleanFunction) -> ResiliencyReport:
     equals ci_order for balanced functions and -1 otherwise.
     """
     spec = walsh_transform(f).values
-    weights = popcount_table(f.n)
-    nz = np.nonzero(spec)[0]
-    nz_weights = weights[nz[nz != 0]]
-    ci = f.n if nz_weights.size == 0 else int(nz_weights.min()) - 1
+    nz = np.flatnonzero(spec[1:])
+    nz += 1  # indices into spec, w = 0 left out
+    ci = f.n if nz.size == 0 else int(np.bitwise_count(nz).min()) - 1
     return ResiliencyReport(ci, ci if int(spec[0]) == 0 else -1)
 
 
 def plateaued_order(f: BooleanFunction) -> Optional[int]:
     """r such that the spectrum support has size 2^r (r even) and all
-    nonzero values are +-2^(n - r/2); None when f is not plateaued."""
-    spec = walsh_transform(f).values
-    support = int(np.count_nonzero(spec))
-    r = support.bit_length() - 1
-    if (1 << r) != support or r % 2:
+    nonzero values are +-2^(n - r/2); None when f is not plateaued.
+    Tested as support * max|W|^2 == 4^n: exact as WalshSpectrum enforces
+    Parseval (the nonzero squares sum to 4^n, which reaches that product
+    only if all equal the largest; the support is then 4^n / max|W|^2)."""
+    spec = walsh_transform(f)
+    support = int(np.count_nonzero(spec.values))
+    if support * spec.max_abs ** 2 != 1 << (2 * f.n):
         return None
-    amp = 1 << (f.n - r // 2)
-    nz = spec[spec != 0]
-    if not np.all(np.abs(nz) == amp):
-        return None
-    return r
+    return support.bit_length() - 1
 
 
 def semi_bent_order(n: int) -> int:

@@ -31,12 +31,17 @@ from .errors import CapError, PremiseError, TruthTableFormatError
 from .galois import GaloisField
 
 
-def _load(path: str) -> BooleanFunction:
-    try:  # the exact bytes: no newline translation, no locale encoding
-        text = Path(path).read_bytes().decode()
+def _read(path: str) -> str:
+    """An input file's text: its exact bytes decoded as UTF-8, with no
+    newline translation and no locale encoding."""
+    try:
+        return Path(path).read_bytes().decode()
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
         raise TruthTableFormatError(f"cannot read {path}: {exc}") from exc
-    return parse_truth_table(text)
+
+
+def _load(path: str) -> BooleanFunction:
+    return parse_truth_table(_read(path))
 
 
 def _write(f: BooleanFunction, path: str | None) -> None:
@@ -136,9 +141,10 @@ def _params(path: str | None) -> dict:
     object is malformed input, like an unreadable truth table."""
     if path is None:
         return {}
+    text = _read(path)
     try:  # RecursionError: nesting deeper than the decoder's recursion limit
-        params = json.loads(Path(path).read_text())
-    except (OSError, ValueError, RecursionError) as exc:
+        params = json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise TruthTableFormatError(f"cannot read {path}: {exc}") from exc
     if not isinstance(params, dict):
         raise TruthTableFormatError(f"{path} must hold a JSON object")

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import dual, is_bent, nonlinearity, resiliency_report, walsh_transform
-from .core import MAX_VARS, BooleanFunction, popcount_table
+from .core import MAX_VARS, BooleanFunction
 from .errors import PremiseError
 from .galois import GaloisField
 
@@ -41,7 +41,10 @@ def _require_bent(*named: tuple[str, BooleanFunction]) -> None:
 
 
 def _require_resilient(order: int, *named: tuple[str, BooleanFunction]) -> None:
-    """Raise PremiseError at the first (name, function) not order-resilient."""
+    """Raise PremiseError at the first (name, function) not order-resilient;
+    an order below -1, the resiliency of every function, is a bad parameter."""
+    if order < -1:
+        raise PremiseError(f"resiliency order {order} is below -1")
     for name, fn in named:
         if resiliency_report(fn).resiliency < order:
             raise PremiseError(f"{name} is not {order}-resilient")
@@ -177,11 +180,10 @@ class LinearSubspace:
 
     def orthogonal(self) -> "LinearSubspace":
         """All w with w.b = 0 for every basis vector b."""
-        pc = popcount_table(self.k)
         keep = [
             w
             for w in range(1 << self.k)
-            if all((pc[w & b] & 1) == 0 for b in self.basis)
+            if all((w & b).bit_count() & 1 == 0 for b in self.basis)
         ]
         return LinearSubspace(self.k, keep)
 
@@ -215,10 +217,11 @@ def mm_function(
     check_total(phi.r + phi.k)
     if require_bent and not phi.is_permutation:
         raise PremiseError("bent M-M functions need a Boolean permutation")
-    parity = popcount_table(phi.r) & 1
     imgs = np.array(phi.images, dtype=np.uint32)
     x = np.arange(1 << phi.r, dtype=np.uint32)
-    table = parity[np.bitwise_and.outer(x, imgs)] ^ u.values()
+    table = np.bitwise_count(np.bitwise_and.outer(x, imgs))
+    table &= 1
+    table ^= u.values()
     return BooleanFunction(phi.r + phi.k, table.reshape(-1))
 
 

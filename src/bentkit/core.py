@@ -16,20 +16,9 @@ import numpy as np
 
 from .errors import TruthTableFormatError
 
-MAX_VARS = 26  # 2^26-bit table ~ 8 MiB; all constructions here stay far below
-
-_POPCOUNT_CACHE: dict[int, np.ndarray] = {}
-
-
-def popcount_table(n: int) -> np.ndarray:
-    """Hamming weights of all indices in [0, 2^n), cached per n."""
-    tab = _POPCOUNT_CACHE.get(n)
-    if tab is None:
-        idx = np.arange(1 << n, dtype=np.uint32)
-        tab = np.bitwise_count(idx)  # uint8
-        tab.flags.writeable = False
-        _POPCOUNT_CACHE[n] = tab
-    return tab
+# A 2^26-bit table packs into 8 MiB, but its int64 Walsh spectrum takes
+# 512 MiB; builds reach this cap.
+MAX_VARS = 26
 
 
 def encode_point(x: Sequence[int]) -> int:
@@ -338,7 +327,9 @@ class WalshSpectrum:
 
     @property
     def max_abs(self) -> int:
-        return int(np.max(np.abs(self.values)))
+        """max |W(w)| from the two extremes, with no |W| array.  As the
+        Parseval check above holds, max_abs^2 >= 2^n, equal iff bent."""
+        return max(int(self.values.max()), -int(self.values.min()))
 
 
 def _byte_walsh() -> np.ndarray:
@@ -416,21 +407,17 @@ class AnfPolynomial:
     @property
     def degree(self) -> int:
         """Max monomial size; 0 for the zero function by convention."""
-        if self.mask == 0:
-            return 0
-        nz = np.nonzero(_unpack_bits(self.mask, self.n))[0]
-        return int(popcount_table(self.n)[nz].max())
+        nz = np.flatnonzero(_unpack_bits(self.mask, self.n))
+        return int(np.bitwise_count(nz).max(initial=0))
 
     def degree_of_variable(self, i: int) -> int:
         """Size of the longest monomial containing x_i (0 if x_i absent)."""
         if not 1 <= i <= self.n:
             raise ValueError(f"variable index {i} out of range for n={self.n}")
         bit = 1 << (self.n - i)
-        nz = np.nonzero(_unpack_bits(self.mask, self.n))[0]
+        nz = np.flatnonzero(_unpack_bits(self.mask, self.n))
         nz = nz[(nz & bit) != 0]
-        if nz.size == 0:
-            return 0
-        return int(popcount_table(self.n)[nz].max())
+        return int(np.bitwise_count(nz).max(initial=0))
 
     def __eq__(self, other) -> bool:
         return (

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BooleanFunction, WalshSpectrum, popcount_table, walsh_transform
+from .core import BooleanFunction, WalshSpectrum, walsh_transform
 from .errors import CapError
 
 WALSH_CAP = 14
@@ -54,7 +54,7 @@ def naive_walsh(f: BooleanFunction) -> WalshSpectrum:
     else:
         size = 1 << f.n
         idx = np.arange(size, dtype=np.uint32)
-        parity = (popcount_table(f.n) & 1).astype(np.int64)
+        parity = (np.bitwise_count(idx) & 1).astype(np.int64)
         values = np.empty(size, dtype=np.int64)
         for w in range(size):
             values[w] = np.dot(signs, 1 - 2 * parity[idx & np.uint32(w)])
@@ -67,7 +67,7 @@ def exhaustive_nonlinearity(f: BooleanFunction) -> int:
         raise CapError(f"exhaustive nonlinearity capped at n={NONLINEARITY_CAP}")
     size = 1 << f.n
     idx = np.arange(size, dtype=np.uint32)
-    parity = (popcount_table(f.n) & 1).astype(np.uint8)
+    parity = np.bitwise_count(idx) & 1
     bits = f.values()
     best = size
     for w in range(size):

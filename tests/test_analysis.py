@@ -1,7 +1,10 @@
 import json
 import subprocess
 import sys
+import tracemalloc
+from typing import Optional
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,8 +23,14 @@ from bentkit import (
     resiliency_report,
     walsh_transform,
 )
-from bentkit.analysis import semi_bent_order
-from bentkit.rand import XorShift64Star, random_bent, random_function, random_mm_bent
+from bentkit.analysis import ResiliencyReport, semi_bent_order
+from bentkit.rand import (
+    XorShift64Star,
+    random_bent,
+    random_function,
+    random_mm_bent,
+    random_resilient,
+)
 
 X1X2 = BooleanFunction(2, [0, 0, 0, 1])
 
@@ -269,3 +278,84 @@ except RuntimeError as exc:
     assert proc.returncode == 0, proc.stderr
     assert "analyze: nonlinearity 1 and degree 2 break the caps" in proc.stdout
     assert "trace: trace of 2 is 3" in proc.stdout
+
+
+# -- spectrum predicates against their elementwise forms -------------------
+#
+# The predicates read the spectrum through Parseval identities; these
+# references test every value, as the predicates did before.
+
+
+def _is_bent_ref(f: BooleanFunction) -> bool:
+    if f.n % 2:
+        return False
+    amp = 1 << (f.n // 2)
+    return bool(np.all(np.abs(walsh_transform(f).values) == amp))
+
+
+def _plateaued_order_ref(f: BooleanFunction) -> Optional[int]:
+    spec = walsh_transform(f).values
+    support = int(np.count_nonzero(spec))
+    r = support.bit_length() - 1
+    if (1 << r) != support or r % 2:
+        return None
+    nz = spec[spec != 0]
+    if not np.all(np.abs(nz) == 1 << (f.n - r // 2)):
+        return None
+    return r
+
+
+def _resiliency_report_ref(f: BooleanFunction) -> ResiliencyReport:
+    spec = walsh_transform(f).values
+    nz = np.nonzero(spec)[0]
+    weights = np.bitwise_count(np.arange(1 << f.n, dtype=np.uint32))
+    nz_weights = weights[nz[nz != 0]]
+    ci = f.n if nz_weights.size == 0 else int(nz_weights.min()) - 1
+    return ResiliencyReport(ci, ci if int(spec[0]) == 0 else -1)
+
+
+def _assert_predicates_match(f: BooleanFunction) -> None:
+    assert is_bent(f) is _is_bent_ref(f), f
+    assert plateaued_order(f) == _plateaued_order_ref(f), f
+    assert resiliency_report(f) == _resiliency_report_ref(f), f
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_spectrum_predicates_match_reference_on_every_function(n):
+    for mask in range(1 << (1 << n)):
+        _assert_predicates_match(BooleanFunction(n, mask))
+
+
+def _corpus(n: int, rng: XorShift64Star):
+    """Random tables, bent functions and their (semi-bent) restrictions,
+    and t-resilient functions for every t."""
+    yield from (random_function(n, rng) for _ in range(20))
+    if n % 2 == 0:
+        for _ in range(5):
+            f = random_bent(n, rng)
+            yield f
+            yield from (f.restrict(j, b) for j in (1, n) for b in (0, 1))
+    for t in range(n):
+        yield from (random_resilient(n, t, rng) for _ in range(3))
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_spectrum_predicates_match_reference_on_seeded_corpora(n):
+    for f in _corpus(n, XorShift64Star(1000 + n)):
+        _assert_predicates_match(f)
+
+
+def test_spectrum_predicates_allocate_no_spectrum_sized_temporary():
+    # an M-M bent function at n = 20, spectrum cached: 2^20 entries
+    n = 20
+    f = random_mm_bent(n, XorShift64Star(20))
+    walsh_transform(f)
+    limits = {is_bent: 1, nonlinearity: 1, plateaued_order: 1, resiliency_report: 10}
+    for predicate, bytes_per_entry in limits.items():
+        tracemalloc.start()
+        try:
+            predicate(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bytes_per_entry << n, (predicate.__name__, peak / (1 << n))

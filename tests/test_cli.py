@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -327,11 +328,35 @@ _TRIPLE = ("--f1", "--f2", "--f3")
                    *(x for flag in (*_TRIPLE, "--p", "--q")
                      for x in (flag, put(t, "f.tt", MM4)))],
         3, "missing --k for resilient-indirect-sum-pair", id="missing-k-pair"),
+    pytest.param(  # bent, so unbalanced: accepted at k = -1 only
+        lambda t: ["resilient-indirect-sum", "--k", "-5",
+                   *(x for flag in (*_TRIPLE, "--g1", "--g2", "--g3")
+                     for x in (flag, put(t, "f.tt", MM4)))],
+        3, "resiliency order -5 is below -1", id="k-below-minus-one"),
+    pytest.param(
+        lambda t: ["resilient-indirect-sum-pair", "--k", "-5",
+                   *(x for flag in (*_TRIPLE, "--p", "--q")
+                     for x in (flag, put(t, "f.tt", MM4)))],
+        3, "resiliency order -5 is below -1", id="k-below-minus-one-pair"),
 ])
 def test_build_error_paths_exit_with_a_message(tmp_path, args, code, message):
     proc = run("build", *args(tmp_path), expect=code)
     assert "error: " in proc.stderr and message in proc.stderr, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_param_file_is_read_as_utf8_in_an_ascii_locale(tmp_path):
+    # the C locale with UTF-8 mode off decodes text files as ASCII
+    u = str(put(tmp_path, "u.tt", BooleanFunction(2, [0, 0, 0, 1])))
+    params = {"k": 2, "phi": [0, 1, 2, 3], "u": u, "note": "x\u2081x\u2082 \u00e9"}
+    p = _file(tmp_path, "p.json", json.dumps(params, ensure_ascii=False).encode())
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bentkit", "build", "mm", "--param-file", str(p)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("n=4\nbits=")
 
 
 @pytest.mark.parametrize("target", [

@@ -678,6 +678,24 @@ def test_resilient_routes_premise_errors():
         resilient_indirect_sum_from_pair(BentTriple(f, f, f), p, p, 1, 1)
 
 
+def test_resiliency_order_below_minus_one_is_a_bad_parameter():
+    # every function is (-1)-resilient, so no order below -1 is meaningful;
+    # bent g inputs are unbalanced and would pass any order up to -1
+    rng = XorShift64Star(138)
+    triple, _ = random_derivative_triple(6, rng)
+    g = random_mm_bent(4, rng)
+    with pytest.raises(PremiseError, match="order -2 is below -1"):
+        resilient_indirect_sum(triple, g, g, g, -2)
+    with pytest.raises(PremiseError, match="order -5 is below -1"):
+        resilient_indirect_sum_from_pair(triple, g, g, 1, -5)
+    with pytest.raises(PremiseError, match="order -3 is below -1"):
+        generalized_indirect_sum(
+            triple.f1, triple.f2, triple.f3, g, g, g, mode="resilient", t=-1, k=-3
+        )
+    h, cert = resilient_indirect_sum(triple, g, g, g, -1)
+    assert cert.resiliency == -1
+
+
 def test_plateaued_propagation_through_resilient_sum():
     rng = XorShift64Star(139)
     triple, _ = random_derivative_triple(6, rng)
