@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import BooleanFunction, degree, walsh_transform
+from .core import MAX_VARS, BooleanFunction, degree, walsh_transform
 from .errors import PremiseError
 
 
@@ -40,6 +40,15 @@ def dual(f: BooleanFunction) -> BooleanFunction:
     return BooleanFunction(f.n, (walsh_transform(f).values < 0).astype(np.uint8))
 
 
+# resiliency_report scans the spectrum as rows of _ROW entries, _ROWS rows
+# at a time: the weight of w is that of its offset in the row plus that of
+# the row's index, each from a table.
+_ROW = 1 << 12
+_ROWS = 16
+_OFFSET_WEIGHT = np.bitwise_count(np.arange(_ROW, dtype=np.uint16))
+_ROW_WEIGHT = np.bitwise_count(np.arange(1 << (MAX_VARS - 12)))[:, None]
+
+
 class ResiliencyReport(NamedTuple):
     ci_order: int
     resiliency: int
@@ -50,11 +59,24 @@ def resiliency_report(f: BooleanFunction) -> ResiliencyReport:
 
     ci_order is 0 when some weight-1 coefficient is nonzero; resiliency
     equals ci_order for balanced functions and -1 otherwise.
+
+    The spectrum is scanned _ROWS rows at a time, so no spectrum-sized
+    temporary is made; a nonzero W_f(w) at wt(w) = 1 ends the scan.
     """
     spec = walsh_transform(f).values
-    nz = np.flatnonzero(spec[1:])
-    nz += 1  # indices into spec, w = 0 left out
-    ci = f.n if nz.size == 0 else int(np.bitwise_count(nz).min()) - 1
+    rows = spec.reshape(-1, min(_ROW, spec.shape[0]))
+    none = np.uint8(f.n + 1)  # above every weight: W_f(w) = 0 for all w != 0
+    least = f.n + 1
+    for r in range(0, rows.shape[0], _ROWS):
+        nonzero = rows[r : r + _ROWS] != 0
+        weight = np.where(nonzero, _OFFSET_WEIGHT[: rows.shape[1]], none)
+        weight += _ROW_WEIGHT[r : r + weight.shape[0]]
+        if r == 0:
+            weight[0, 0] = none  # w = 0 is left out
+        least = min(least, int(weight.min()))
+        if least == 1:
+            break
+    ci = least - 1
     return ResiliencyReport(ci, ci if int(spec[0]) == 0 else -1)
 
 

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import dual, is_bent, nonlinearity, resiliency_report, walsh_transform
-from .core import MAX_VARS, BooleanFunction
+from .core import MAX_VARS, BooleanFunction, _mask_bytes
 from .errors import PremiseError
 from .galois import GaloisField
 
@@ -294,11 +294,20 @@ def _indirect_tables(
     gb: BooleanFunction,
     dg: BooleanFunction,
 ) -> BooleanFunction:
-    """fa(x) + gb(y) + df(x) dg(y) with the block layout."""
+    """fa(x) + gb(y) + df(x) dg(y) with the block layout.
+
+    With 3 or more y variables the row of each x is whole bytes of the
+    packed table: dg's bytes where df(x) = 1, XOR gb's bytes, complemented
+    where fa(x) = 1.  Rows of 1 or 2 variables are built bit by bit."""
     check_total(fa.n + gb.n)
-    table = np.bitwise_and.outer(df.values(), dg.values())
-    table ^= np.bitwise_xor.outer(fa.values(), gb.values())
-    return BooleanFunction(fa.n + gb.n, table.reshape(-1))
+    if gb.n < 3:
+        table = np.bitwise_and.outer(df.values(), dg.values())
+        table ^= np.bitwise_xor.outer(fa.values(), gb.values())
+        return BooleanFunction(fa.n + gb.n, table.reshape(-1))
+    ones = np.uint8(0xFF)
+    rows = np.bitwise_and.outer(df.values() * ones, _mask_bytes(dg.mask, dg.n))
+    rows ^= np.bitwise_xor.outer(fa.values() * ones, _mask_bytes(gb.mask, gb.n))
+    return BooleanFunction(fa.n + gb.n, int.from_bytes(rows.tobytes(), "little"))
 
 
 def indirect_sum(

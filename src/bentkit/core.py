@@ -17,7 +17,8 @@ import numpy as np
 from .errors import TruthTableFormatError
 
 # A 2^26-bit table packs into 8 MiB, but its int64 Walsh spectrum takes
-# 512 MiB; builds reach this cap.
+# 512 MiB, which walsh_transform allocates once and also uses as its work
+# buffer; builds reach this cap.
 MAX_VARS = 26
 
 
@@ -53,11 +54,14 @@ def _table_bytes(n: int) -> int:
     return max(1, (1 << n) // 8)
 
 
+def _mask_bytes(mask: int, n: int) -> np.ndarray:
+    """Bit-packed table -> its little-endian bytes, a read-only uint8 array."""
+    return np.frombuffer(mask.to_bytes(_table_bytes(n), "little"), np.uint8)
+
+
 def _unpack_bits(mask: int, n: int) -> np.ndarray:
     """Bit-packed table -> uint8 array of length 2^n (index order)."""
-    raw = mask.to_bytes(_table_bytes(n), "little")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return bits[: 1 << n]
+    return np.unpackbits(_mask_bytes(mask, n), bitorder="little")[: 1 << n]
 
 
 def _pack_bits(bits: np.ndarray) -> int:
@@ -345,33 +349,72 @@ _BYTE_WALSH = _byte_walsh()
 _BYTE_WALSH.flags.writeable = False
 
 
+# Stages with h below this run block by block: a block's two int32 halves
+# take 2 x 256 KiB, which stays inside a 2 MiB L2 cache.
+_BLOCK = 1 << 16
+
+
+def _butterfly(src: np.ndarray, dst: np.ndarray, h: int) -> None:
+    """One stage from src into dst: each (x, y) pair h apart -> (x + y, x - y)."""
+    s, d = src.reshape(-1, 2, h), dst.reshape(-1, 2, h)
+    x, y = s[:, 0], s[:, 1]
+    np.add(x, y, out=d[:, 0])
+    np.subtract(x, y, out=d[:, 1])
+
+
 def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
     """W_f(w) = sum_x (-1)^(f(x) xor w.x), in O(n 2^n).
 
-    Byte j of the packed mask is the table of x -> f(8j + x) on the three
-    fastest variables, so one gather from `_BYTE_WALSH` does the first
-    three butterfly stages.  Tables of n < 3 are repeated to fill a byte,
-    which scales W by 2^(3-n) on w < 2^n.  The other n - 3 stages run in
-    place in int32: every partial sum lies within +-2^n <= 2^26, so the
-    result is exact.  It is returned as int64 and cached on the function,
-    which is immutable.
+    The int64 result is the only spectrum-sized allocation: its two int32
+    halves are the work buffers, and each butterfly stage reads one half
+    and writes the other.  Byte j of the packed mask is the table of
+    x -> f(8j + x) on the three fastest variables, so a gather from
+    `_BYTE_WALSH` does the first three stages.  Tables of n < 3 are
+    repeated to fill a byte, which scales W by 2^(3-n) on w < 2^n.  The
+    gather and the stages with h < `_BLOCK` run one block at a time, the
+    rest over the whole array; every partial sum lies within
+    +-2^n <= 2^26, so int32 is exact.  The last stage lands in the upper
+    half, which is widened forward in place.  The result is cached on the
+    function, which is immutable.
     """
     if f._spectrum is None:
         n = f.n
         mask = f.mask if n >= 3 else f.mask * (0xFF // ((1 << (1 << n)) - 1))
-        raw = np.frombuffer(mask.to_bytes(_table_bytes(n), "little"), np.uint8)
-        a = _BYTE_WALSH[raw].reshape(-1)
-        if n < 3:
-            a = a[: 1 << n] >> (3 - n)
-        h = 8
-        while h < a.shape[0]:
-            v = a.reshape(-1, 2, h)
-            x, y = v[:, 0], v[:, 1]
-            x += y  # (x, y) -> (x + y, x - y) with no temporary
-            y *= -2
-            y += x
+        raw = _mask_bytes(mask, n)
+        size = 8 * raw.shape[0]
+        out = np.empty(size, np.int64)
+        halves = out.view(np.int32).reshape(2, size)
+        block = min(_BLOCK, size)
+        first = (size.bit_length() - 1) & 1  # so the last stage writes halves[1]
+        for lo in range(0, size, block):
+            hi, side = lo + block, first
+            # mode="clip" writes straight into out; "raise" would buffer it
+            dst = halves[side, lo:hi].reshape(-1, 8)
+            _BYTE_WALSH.take(raw[lo // 8 : hi // 8], axis=0, out=dst, mode="clip")
+            h = 8
+            while h < block:
+                _butterfly(halves[side, lo:hi], halves[side ^ 1, lo:hi], h)
+                side ^= 1
+                h *= 2
+        while h < size:
+            _butterfly(halves[side], halves[side ^ 1], h)
+            side ^= 1
             h *= 2
-        f._spectrum = WalshSpectrum(n, a.astype(np.int64))
+        # Widen over halving chunks [lo, lo + c): the int64 writes end at
+        # int32 offset 2 lo + 2 c = size + lo, where the chunk's source
+        # begins, so a chunk neither overlaps its source nor overwrites
+        # entries still to be read.  Only the short tail would overlap, so
+        # it is copied out first.
+        top = halves[1]
+        lo, c = 0, size // 2
+        while c >= 1 << 10:
+            out[lo : lo + c] = top[lo : lo + c]
+            lo += c
+            c //= 2
+        out[lo:] = top[lo:].copy()
+        if n < 3:
+            out = out[: 1 << n] >> (3 - n)
+        f._spectrum = WalshSpectrum(n, out)
     return f._spectrum
 
 

@@ -350,7 +350,7 @@ def test_spectrum_predicates_allocate_no_spectrum_sized_temporary():
     n = 20
     f = random_mm_bent(n, XorShift64Star(20))
     walsh_transform(f)
-    limits = {is_bent: 1, nonlinearity: 1, plateaued_order: 1, resiliency_report: 10}
+    limits = {is_bent: 1, nonlinearity: 1, plateaued_order: 1, resiliency_report: 1}
     for predicate, bytes_per_entry in limits.items():
         tracemalloc.start()
         try:
@@ -359,3 +359,27 @@ def test_spectrum_predicates_allocate_no_spectrum_sized_temporary():
         finally:
             tracemalloc.stop()
         assert peak < bytes_per_entry << n, (predicate.__name__, peak / (1 << n))
+
+
+@pytest.mark.parametrize(
+    "n, w",
+    [
+        # rows of 2^12: w at the start, inside and at the end of a row
+        (14, 1), (14, 1 << 12), (14, 3 << 12), (14, (2 << 12) | 37),
+        (14, (1 << 12) - 1), (14, (1 << 14) - 1),
+        # 16 rows are scanned at a time: w in the second, third and last
+        # such chunk
+        (18, 1 << 16), (18, (3 << 16) | 5), (18, (1 << 17) - 1), (18, (1 << 18) - 1),
+    ],
+)
+def test_resiliency_report_of_a_linear_function(n, w):
+    # W is 2^n at w and 0 elsewhere, so the least weight of a nonzero
+    # W(u), u != 0, is wt(w)
+    f = BooleanFunction.linear(n, w)
+    ci = w.bit_count() - 1
+    assert resiliency_report(f) == (ci, ci)
+
+
+def test_resiliency_report_of_a_constant_function():
+    # W is zero off w = 0: correlation immune of every order, unbalanced
+    assert resiliency_report(BooleanFunction.zero(14)) == (14, -1)

@@ -33,6 +33,7 @@ from bentkit import (
     walsh_case,
     walsh_transform,
 )
+from bentkit.constructions import _indirect_tables
 from bentkit.oracle import naive_walsh, resiliency_by_definition
 from bentkit.rand import (
     XorShift64Star,
@@ -206,6 +207,22 @@ def test_indirect_sum_bent_with_dual_formula():
     h = indirect_sum(f1, f2, g1, g2)
     assert is_bent(h)
     assert dual(h) == indirect_sum(dual(f1), dual(f2), dual(g1), dual(g2))
+
+
+@pytest.mark.parametrize("ny", range(1, 6))
+@pytest.mark.parametrize("nx", range(1, 7))
+def test_indirect_tables_match_the_bit_formula(nx, ny):
+    # y blocks of 3 or more variables take the byte-row path, 1 and 2 the bit path
+    rng = XorShift64Star(100 * nx + ny)
+    for _ in range(3):
+        fa, df = random_function(nx, rng), random_function(nx, rng)
+        gb, dg = random_function(ny, rng), random_function(ny, rng)
+        h = _indirect_tables(fa, df, gb, dg)
+        assert h.n == nx + ny
+        for x in range(1 << nx):
+            for y in range(1 << ny):
+                want = fa.bit(x) ^ gb.bit(y) ^ (df.bit(x) & dg.bit(y))
+                assert h.bit((x << ny) | y) == want, (x, y)
 
 
 # -- restricted indirect sum --------------------------------------------------

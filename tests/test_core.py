@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,6 +198,20 @@ def test_walsh_agrees_with_the_reference_butterfly_on_large_bent(n):
     got = walsh_transform(f).values
     assert np.array_equal(got, reference_walsh(f))
     assert np.all(np.abs(got) == 1 << (n // 2))
+
+
+def test_walsh_allocates_the_result_and_little_else():
+    # the int64 result is 8 bytes per entry and its int32 halves are the
+    # work buffers, so little else may be allocated
+    n = 20
+    f = random_mm_bent(n, XorShift64Star(20))
+    tracemalloc.start()
+    try:
+        walsh_transform(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.5 * (1 << n), peak / (1 << n)
 
 
 def test_byte_table_is_the_3_variable_spectrum():
