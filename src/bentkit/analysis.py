@@ -141,7 +141,7 @@ class BoundsReport:
         return asdict(self)
 
 
-def bounds_report(n: int, resiliency: int, degree: Optional[int] = None) -> BoundsReport:
+def bounds_report(n: int, resiliency: int) -> BoundsReport:
     """Siegenthaler degree cap and the Sarkar et al. nonlinearity cap.
 
     resiliency -1 leaves only the universal bound; resiliency m with
@@ -167,13 +167,7 @@ def bounds_report(n: int, resiliency: int, degree: Optional[int] = None) -> Boun
             caps.append((_universal_nonlinearity_cap(n) // step) * step)
     else:
         deg_cap = n
-    report = BoundsReport(n, resiliency, deg_cap, min(caps))
-    if degree is not None and degree > report.degree_cap:
-        raise PremiseError(
-            f"degree {degree} exceeds the cap {report.degree_cap} "
-            f"for a {resiliency}-resilient function"
-        )
-    return report
+    return BoundsReport(n, resiliency, deg_cap, min(caps))
 
 
 @dataclass

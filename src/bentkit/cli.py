@@ -79,7 +79,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_wht(args) -> int:
     f = _load(args.path)
-    _emit({"n": f.n, "values": [int(v) for v in walsh_transform(f).values]})
+    _emit({"n": f.n, "values": walsh_transform(f).values.tolist()})
     return 0
 
 

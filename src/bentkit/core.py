@@ -4,8 +4,9 @@ Index convention: a point x = (x_1, ..., x_n) of F_2^n maps to the table
 index i = sum_j x_j * 2^(n-j), i.e. x_1 is the most significant bit and
 x_n varies fastest.  Every table, spectrum and ANF in the package is
 indexed this way.  Truth tables are stored bit-packed in a Python int
-(bit i of the int is f at index i); numpy views are materialised on
-demand for the transform kernels.
+(bit i of the int is f at index i).  Moebius and the affine tables work
+on the int itself; numpy views are materialised on demand for the Walsh
+kernel and the degree and support scans.
 """
 
 from __future__ import annotations
@@ -64,6 +65,16 @@ def _unpack_bits(mask: int, n: int) -> np.ndarray:
     return np.unpackbits(_mask_bytes(mask, n), bitorder="little")[: 1 << n]
 
 
+def _coordinate_mask(n: int, s: int) -> int:
+    """Packed table of the indices in [0, 2^n) whose bit s is set."""
+    width = 2 << s
+    m = ((1 << (1 << s)) - 1) << (1 << s)  # one period: 2^s zeros, 2^s ones
+    while width < 1 << n:
+        m |= m << width
+        width *= 2
+    return m
+
+
 def _pack_bits(bits: np.ndarray) -> int:
     packed = np.packbits(bits.astype(np.uint8, copy=False), bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
@@ -118,11 +129,11 @@ class BooleanFunction:
         """The affine function x -> mask.x (+ const), mask index-encoded."""
         if not 0 <= mask < (1 << n):
             raise ValueError(f"linear mask {mask} out of range for n={n}")
-        idx = np.arange(1 << n, dtype=np.uint32)
-        bits = np.bitwise_count(idx & np.uint32(mask)) & 1
-        if const:
-            bits ^= 1
-        return cls(n, bits)
+        table = ((1 << (1 << n)) - 1) if const else 0
+        for s in range(n):
+            if (mask >> s) & 1:
+                table ^= _coordinate_mask(n, s)
+        return cls(n, table)
 
     # -- basic accessors ----------------------------------------------
 
@@ -457,10 +468,8 @@ class AnfPolynomial:
         """Size of the longest monomial containing x_i (0 if x_i absent)."""
         if not 1 <= i <= self.n:
             raise ValueError(f"variable index {i} out of range for n={self.n}")
-        bit = 1 << (self.n - i)
-        nz = np.flatnonzero(_unpack_bits(self.mask, self.n))
-        nz = nz[(nz & bit) != 0]
-        return int(np.bitwise_count(nz).max(initial=0))
+        on_xi = self.mask & _coordinate_mask(self.n, self.n - i)
+        return AnfPolynomial(self.n, on_xi).degree
 
     def __eq__(self, other) -> bool:
         return (
@@ -473,25 +482,22 @@ class AnfPolynomial:
         return f"AnfPolynomial(n={self.n}, degree={self.degree})"
 
 
-def _mobius_kernel(a: np.ndarray) -> np.ndarray:
-    """The binary Moebius butterfly, in place on a fresh array."""
-    size = a.shape[0]
-    h = 1
-    while h < size:
-        b = a.reshape(-1, 2 * h)
-        b[:, h:] ^= b[:, :h]
-        h *= 2
-    return a
+def _mobius(mask: int, n: int) -> int:
+    """The binary Moebius butterfly on a packed table: at stage s every
+    index with bit s set takes the XOR of the entry 2^s below it."""
+    for s in range(n):
+        mask ^= (mask << (1 << s)) & _coordinate_mask(n, s)
+    return mask
 
 
 def mobius(f: BooleanFunction) -> AnfPolynomial:
     """Truth table -> ANF coefficients (binary Moebius transform)."""
-    return AnfPolynomial(f.n, _pack_bits(_mobius_kernel(f.values())))
+    return AnfPolynomial(f.n, _mobius(f.mask, f.n))
 
 
 def mobius_inv(p: AnfPolynomial) -> BooleanFunction:
     """ANF coefficients -> truth table (the transform is an involution)."""
-    return BooleanFunction(p.n, _pack_bits(_mobius_kernel(_unpack_bits(p.mask, p.n))))
+    return BooleanFunction(p.n, _mobius(p.mask, p.n))
 
 
 def degree(f: BooleanFunction) -> int:

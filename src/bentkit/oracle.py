@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .analysis import is_bent, nonlinearity, resiliency_report
 from .core import BooleanFunction, WalshSpectrum, walsh_transform
 from .errors import CapError
 
@@ -149,8 +150,6 @@ def verify_walsh(f: BooleanFunction) -> OracleReport:
 
 
 def verify_nonlinearity(f: BooleanFunction) -> OracleReport:
-    from .analysis import nonlinearity
-
     fast = nonlinearity(f)
     slow = exhaustive_nonlinearity(f)
     if fast != slow:
@@ -159,8 +158,6 @@ def verify_nonlinearity(f: BooleanFunction) -> OracleReport:
 
 
 def verify_resiliency(f: BooleanFunction) -> OracleReport:
-    from .analysis import resiliency_report
-
     fast = resiliency_report(f).resiliency
     slow = -1
     for r in range(f.n + 1):
@@ -173,8 +170,6 @@ def verify_resiliency(f: BooleanFunction) -> OracleReport:
 
 
 def verify_bent(f: BooleanFunction) -> OracleReport:
-    from .analysis import is_bent
-
     fast = is_bent(f)
     amp = 1 << (f.n // 2)
     slow = f.n % 2 == 0 and bool(

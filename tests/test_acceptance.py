@@ -259,6 +259,29 @@ def test_criterion_04_degree_bound_and_equality():
         )
 
 
+def test_degree_corollary_explains_every_criterion_04_violation():
+    # README's corollary for n, m >= 4: the bound is met exactly when both
+    # variable degrees are full, or one side has 4 variables and the other
+    # side's base term has full degree.  Criterion 4 states only the first
+    # clause; every instance it flags must meet the second.
+    instances, _ = restricted_sum_corpus()
+    violations = 0
+    for f, g, mu, rho, variants, _ in instances:
+        n, m = f.n, g.n
+        d = degree(variants["00"])
+        full = (
+            degree_of_variable(f, mu) == n // 2
+            and degree_of_variable(g, rho) == m // 2
+        )
+        base = (m == 4 and degree(f.restrict(mu, 0)) == n // 2) or (
+            n == 4 and degree(g.restrict(rho, 0)) == m // 2
+        )
+        at_bound = d == (n + m) // 2 - 2
+        assert at_bound == (full or base), (n, m, mu, rho)
+        violations += at_bound != full
+    assert violations  # the corpus does hold criterion 4's counterexamples
+
+
 def test_criterion_05_specialized_route_equivalences():
     with criterion(5, "specialized builders equal their composed routes"):
         rng = XorShift64Star(SEED_SPECIALIZED)

@@ -192,11 +192,6 @@ def test_bounds_odd_n_multiple_rule():
     assert rep.nonlinearity_cap == 56
 
 
-def test_bounds_degree_violation_raises():
-    with pytest.raises(PremiseError):
-        bounds_report(8, 3, degree=7)
-
-
 # -- profile ---------------------------------------------------------------
 
 
@@ -260,7 +255,7 @@ def test_consistency_checks_survive_python_O():
 import bentkit.analysis as analysis
 from bentkit import BooleanFunction, GaloisField
 
-analysis.bounds_report = lambda n, res, degree=None: analysis.BoundsReport(n, res, n, 0)
+analysis.bounds_report = lambda n, res: analysis.BoundsReport(n, res, n, 0)
 try:
     analysis.analyze(BooleanFunction(2, [0, 0, 0, 1]))
 except RuntimeError as exc:

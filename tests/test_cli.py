@@ -12,6 +12,7 @@ from bentkit import (
     mm_function,
     parse_truth_table,
     serialize_truth_table,
+    walsh_transform,
 )
 from bentkit.rand import XorShift64Star, random_function, random_mm_bent_triple
 
@@ -61,6 +62,9 @@ def test_wht_and_anf(tmp_path):
     out = json.loads(run("anf", p).stdout)
     assert out["monomials"] == ["x1*x2"]
     assert out["degree"] == 2
+    f = random_function(10, XorShift64Star(10))
+    out = json.loads(run("wht", put(tmp_path, "g.tt", f)).stdout)
+    assert out["values"] == walsh_transform(f).values.tolist()
 
 
 def test_dual_round_trip(tmp_path):

@@ -1,6 +1,7 @@
 import pytest
 
 from bentkit import (
+    AnfPolynomial,
     BentTriple,
     BooleanFunction,
     GaloisField,
@@ -20,6 +21,7 @@ from bentkit import (
     mm_function,
     mm_restricted_sum,
     mobius,
+    mobius_inv,
     nonlinearity,
     psap_bent,
     psap_restricted_sum,
@@ -505,6 +507,68 @@ def test_degree_equality_condition_has_an_edge_at_m4():
     h2 = restricted_indirect_sum(f, 4, g, 1, "00")
     assert degree_of_variable(f, 4) == 3 and degree_of_variable(g, 1) == 2
     assert degree(h2) == bound
+
+
+def _check_degree_formula(f, mu, g, rho, variant):
+    """deg h against README's formula, max(deg f_a, deg g_b, d_mu + d_rho
+    - 2), and its corollary for n, m >= 4: the bound (n + m)/2 - 2 is met
+    exactly when both variable degrees are full, or one side has 4
+    variables and the other side's base term has full degree."""
+    n, m = f.n, g.n
+    dfa = degree(f.restrict(mu, int(variant[0])))
+    dgb = degree(g.restrict(rho, int(variant[1])))
+    dmu, drho = degree_of_variable(f, mu), degree_of_variable(g, rho)
+    d = degree(restricted_indirect_sum(f, mu, g, rho, variant))
+    where = (n, m, mu, rho, variant)
+    assert d == max(dfa, dgb, dmu + drho - 2), where
+    full = dmu == n // 2 and drho == m // 2
+    base = (m == 4 and dfa == n // 2) or (n == 4 and dgb == m // 2)
+    assert d <= (n + m) // 2 - 2, where
+    assert (d == (n + m) // 2 - 2) == (full or base), where
+
+
+def _bent_functions_of_4_variables():
+    # a 4-variable bent function has degree <= 2, so the 2^11 polynomials
+    # over the monomials of degree <= 2 contain every one of them
+    low = [s for s in range(16) if s.bit_count() <= 2]
+    out = []
+    for coeffs in range(1 << len(low)):
+        mask = sum(1 << s for k, s in enumerate(low) if (coeffs >> k) & 1)
+        f = mobius_inv(AnfPolynomial(4, mask))
+        if is_bent(f):
+            out.append(f)
+    return out
+
+
+def test_restricted_sum_degree_formula_on_every_4_variable_side():
+    # the formula reads only (deg f_a, d_mu) from each side, so every
+    # 4-variable bent function, coordinate and base bit is taken once on
+    # each side, against seeded partners
+    bent4 = _bent_functions_of_4_variables()
+    assert len(bent4) == 896
+    rng = XorShift64Star(896)
+    partners = [random_bent(m, rng) for m in (4, 6) for _ in range(4)]
+    rows = 0
+    for f in bent4:
+        for mu in range(1, 5):
+            assert degree_of_variable(f, mu) >= 2  # no constant derivative
+            for a in "01":
+                g = partners[rows % len(partners)]
+                rho, b = 1 + rng.randrange(g.n), "01"[rng.bits(1)]
+                _check_degree_formula(f, mu, g, rho, a + b)
+                _check_degree_formula(g, rho, f, mu, b + a)
+                rows += 1
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_restricted_sum_degree_formula_on_seeded_pairs(n):
+    rng = XorShift64Star(0xDE6 + n)
+    for m in (4, 6, 8, 10):
+        for _ in range(10):
+            f, g = random_bent(n, rng), random_bent(m, rng)
+            mu, rho = 1 + rng.randrange(n), 1 + rng.randrange(m)
+            for variant in ("00", "01", "10", "11"):
+                _check_degree_formula(f, mu, g, rho, variant)
 
 
 # -- generalized indirect sum --------------------------------------------------

@@ -280,6 +280,87 @@ def test_degree_of_variable_mm_bent():
     assert [degree_of_variable(f, i) for i in (1, 2, 3, 4)] == [2, 2, 2, 2]
 
 
+def reference_mobius(rows):
+    """The uint8 butterfly the packed-int transform replaced, on each row
+    of an array of unpacked tables (index order), one stage per h."""
+    a = rows.copy()
+    size = a.shape[1]
+    h = 1
+    while h < size:
+        b = a.reshape(a.shape[0], -1, 2 * h)
+        b[:, :, h:] ^= b[:, :, :h]
+        h *= 2
+    return a
+
+
+def reference_degree_of_variable(rows, n, i):
+    """Per row, the largest weight in the support filtered to the indices
+    with x_i set: the flatnonzero filter degree_of_variable used before."""
+    r, nz = np.nonzero(rows)
+    keep = (nz & (1 << (n - i))) != 0
+    out = np.zeros(rows.shape[0], np.int64)
+    np.maximum.at(out, r[keep], np.bitwise_count(nz[keep]))
+    return out
+
+
+def _unpacked(masks, n):
+    return np.array([BooleanFunction(n, m).values() for m in masks])
+
+
+def _packed(rows, n):
+    return [BooleanFunction(n, row).mask for row in rows]
+
+
+@pytest.mark.parametrize("n", range(1, 19))
+def test_mobius_agrees_with_the_reference_butterfly(n):
+    # every table for n <= 4, three seeded ones above
+    if n <= 4:
+        masks = range(1 << (1 << n))
+    else:
+        rng = XorShift64Star(2000 + n)
+        masks = [rng.bits(1 << n) for _ in range(3)]
+    rows = _unpacked(masks, n)
+    want = _packed(reference_mobius(rows), n)
+    assert [mobius(BooleanFunction(n, m)).mask for m in masks] == want
+    assert [mobius_inv(AnfPolynomial(n, m)).mask for m in masks] == want
+    for i in range(1, n + 1):
+        got = [AnfPolynomial(n, m).degree_of_variable(i) for m in masks]
+        assert got == reference_degree_of_variable(rows, n, i).tolist()
+
+
+def test_mobius_allocates_less_than_a_byte_per_entry():
+    # the packed table is 1/8 B per entry and the transform keeps a few
+    # such ints alive; one unpacked uint8 copy would take 1 B per entry
+    n = 20
+    f = random_mm_bent(n, XorShift64Star(20))
+    tracemalloc.start()
+    try:
+        mobius(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << n, peak / (1 << n)
+
+
+def reference_linear(n, mask, const):
+    """The affine table from the parity of index & mask, entry by entry."""
+    idx = np.arange(1 << n, dtype=np.uint32)
+    bits = np.bitwise_count(idx & np.uint32(mask)) & 1
+    if const:
+        bits ^= 1
+    return BooleanFunction(n, bits)
+
+
+def test_linear_agrees_with_the_parity_table():
+    # every mask and constant for n <= 6, seeded masks above
+    cases = [(n, m, c) for n in range(1, 7) for m in range(1 << n) for c in (0, 1)]
+    rng = XorShift64Star(16)
+    cases += [(n, rng.bits(n), c) for n in range(7, 17) for c in (0, 1)]
+    for n, mask, const in cases:
+        got = BooleanFunction.linear(n, mask, const)
+        assert got == reference_linear(n, mask, const), (n, mask, const)
+
+
 # -- restrict / derivative / operators / translate ----------------------
 
 
