@@ -91,7 +91,7 @@ def cmd_anf(args) -> int:
         {
             "n": f.n,
             "degree": p.degree,
-            "degree_per_variable": [p.degree_of_variable(i) for i in range(1, f.n + 1)],
+            "degree_per_variable": p.degree_per_variable(),
             "monomials": terms,
         }
     )

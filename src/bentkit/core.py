@@ -312,7 +312,7 @@ class WalshSpectrum:
     int64 array is held as given, not copied, and made read-only.
     """
 
-    __slots__ = ("n", "values")
+    __slots__ = ("n", "values", "_max_abs")
 
     def __init__(self, n: int, values: np.ndarray):
         values = np.asarray(values, dtype=np.int64)
@@ -323,6 +323,7 @@ class WalshSpectrum:
         values.flags.writeable = False
         self.n = n
         self.values = values
+        self._max_abs = None
 
     def __getitem__(self, w) -> int:
         return int(self.values[_as_index(w, self.n)])
@@ -342,9 +343,12 @@ class WalshSpectrum:
 
     @property
     def max_abs(self) -> int:
-        """max |W(w)| from the two extremes, with no |W| array.  As the
-        Parseval check above holds, max_abs^2 >= 2^n, equal iff bent."""
-        return max(int(self.values.max()), -int(self.values.min()))
+        """max |W(w)| from the two extremes, with no |W| array, computed
+        once as the values are read-only.  As the Parseval check above
+        holds, max_abs^2 >= 2^n, equal iff bent."""
+        if self._max_abs is None:
+            self._max_abs = max(int(self.values.max()), -int(self.values.min()))
+        return self._max_abs
 
 
 def _byte_walsh() -> np.ndarray:
@@ -361,12 +365,30 @@ _BYTE_WALSH.flags.writeable = False
 
 
 # Stages with h below this run block by block: a block's two int32 halves
-# take 2 x 256 KiB, which stays inside a 2 MiB L2 cache.
-_BLOCK = 1 << 16
+# and the block-sized int32 scratch of the short-stride form take
+# 3 x 512 KiB, which stays inside a 2 MiB L2 cache.
+_BLOCK = 1 << 17
+
+# Below this pair distance NumPy buffers the strided (-1, 2, h) operands
+# (on a 2-vCPU VM an add over 2^15 pairs took 85 us at h = 8, 7 us at
+# h >= 4096 and 6 us on contiguous data), so such stages run contiguous
+# over the whole block instead.
+_SHORT = 1 << 12
 
 
-def _butterfly(src: np.ndarray, dst: np.ndarray, h: int) -> None:
-    """One stage from src into dst: each (x, y) pair h apart -> (x + y, x - y)."""
+def _butterfly(src: np.ndarray, dst: np.ndarray, h: int, tmp: np.ndarray) -> None:
+    """One stage from src into dst: each (x, y) pair h apart -> (x + y, x - y).
+
+    For h < `_SHORT` both operations run over every offset-h pair, and
+    only the rows that need each result keep it: dst[i] = src[i] + src[i+h]
+    is right where bit h of i is clear, tmp[i+h] = src[i] - src[i+h] where
+    it is set, and the set rows are copied over.  tmp is as long as src.
+    """
+    if h < _SHORT:
+        np.add(src[:-h], src[h:], out=dst[:-h])
+        np.subtract(src[:-h], src[h:], out=tmp[h:])
+        dst.reshape(-1, 2, h)[:, 1] = tmp.reshape(-1, 2, h)[:, 1]
+        return
     s, d = src.reshape(-1, 2, h), dst.reshape(-1, 2, h)
     x, y = s[:, 0], s[:, 1]
     np.add(x, y, out=d[:, 0])
@@ -383,7 +405,9 @@ def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
     `_BYTE_WALSH` does the first three stages.  Tables of n < 3 are
     repeated to fill a byte, which scales W by 2^(3-n) on w < 2^n.  The
     gather and the stages with h < `_BLOCK` run one block at a time, the
-    rest over the whole array; every partial sum lies within
+    rest over the whole array; a stage with h < `_SHORT` runs as two
+    contiguous operations and a copy through one block-sized int32
+    scratch array (see `_butterfly`).  Every partial sum lies within
     +-2^n <= 2^26, so int32 is exact.  The last stage lands in the upper
     half, which is widened forward in place.  The result is cached on the
     function, which is immutable.
@@ -396,6 +420,7 @@ def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
         out = np.empty(size, np.int64)
         halves = out.view(np.int32).reshape(2, size)
         block = min(_BLOCK, size)
+        tmp = np.empty(block, np.int32)
         first = (size.bit_length() - 1) & 1  # so the last stage writes halves[1]
         for lo in range(0, size, block):
             hi, side = lo + block, first
@@ -404,11 +429,11 @@ def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
             _BYTE_WALSH.take(raw[lo // 8 : hi // 8], axis=0, out=dst, mode="clip")
             h = 8
             while h < block:
-                _butterfly(halves[side, lo:hi], halves[side ^ 1, lo:hi], h)
+                _butterfly(halves[side, lo:hi], halves[side ^ 1, lo:hi], h, tmp)
                 side ^= 1
                 h *= 2
-        while h < size:
-            _butterfly(halves[side], halves[side ^ 1], h)
+        while h < size:  # h >= _BLOCK > _SHORT here, so tmp goes unused
+            _butterfly(halves[side], halves[side ^ 1], h, tmp)
             side ^= 1
             h *= 2
         # Widen over halving chunks [lo, lo + c): the int64 writes end at
@@ -449,10 +474,14 @@ class AnfPolynomial:
         self.n = n
         self.mask = mask
 
+    def _support(self) -> np.ndarray:
+        """The subset indices I with a_I = 1, ascending."""
+        return np.flatnonzero(_unpack_bits(self.mask, self.n))
+
     def monomials(self) -> list[tuple[int, ...]]:
         """Sorted variable-index tuples of the nonzero coefficients."""
         out = []
-        for idx in np.nonzero(_unpack_bits(self.mask, self.n))[0]:
+        for idx in self._support():
             out.append(
                 tuple(j for j in range(1, self.n + 1) if (int(idx) >> (self.n - j)) & 1)
             )
@@ -461,15 +490,27 @@ class AnfPolynomial:
     @property
     def degree(self) -> int:
         """Max monomial size; 0 for the zero function by convention."""
-        nz = np.flatnonzero(_unpack_bits(self.mask, self.n))
-        return int(np.bitwise_count(nz).max(initial=0))
+        return int(np.bitwise_count(self._support()).max(initial=0))
+
+    def degree_per_variable(self) -> list[int]:
+        """For x_1, ..., x_n in turn, the size of the longest monomial
+        containing it (0 if absent).  One pass over the support ORs each
+        monomial into the slot of its size; x_i's degree is the largest
+        size whose OR holds x_i's bit."""
+        support = self._support()
+        by_size = np.zeros(self.n + 1, support.dtype)
+        np.bitwise_or.at(by_size, np.bitwise_count(support), support)
+        ors = by_size.tolist()
+        return [
+            next((d for d in range(self.n, 0, -1) if ors[d] >> (self.n - j) & 1), 0)
+            for j in range(1, self.n + 1)
+        ]
 
     def degree_of_variable(self, i: int) -> int:
         """Size of the longest monomial containing x_i (0 if x_i absent)."""
         if not 1 <= i <= self.n:
             raise ValueError(f"variable index {i} out of range for n={self.n}")
-        on_xi = self.mask & _coordinate_mask(self.n, self.n - i)
-        return AnfPolynomial(self.n, on_xi).degree
+        return self.degree_per_variable()[i - 1]
 
     def __eq__(self, other) -> bool:
         return (

@@ -20,6 +20,7 @@ from bentkit import (
     serialize_truth_table,
     walsh_transform,
 )
+from bentkit.core import _coordinate_mask
 from bentkit.rand import XorShift64Star, random_function, random_mm_bent
 
 
@@ -184,7 +185,7 @@ def reference_walsh(f):
     return a
 
 
-@pytest.mark.parametrize("n", range(1, 19))
+@pytest.mark.parametrize("n", range(1, 21))
 def test_walsh_agrees_with_the_reference_butterfly(n):
     rng = XorShift64Star(1000 + n)
     for _ in range(3):
@@ -198,6 +199,17 @@ def test_walsh_agrees_with_the_reference_butterfly_on_large_bent(n):
     got = walsh_transform(f).values
     assert np.array_equal(got, reference_walsh(f))
     assert np.all(np.abs(got) == 1 << (n // 2))
+
+
+def test_max_abs_reads_the_negative_extreme():
+    # W(0) = -2^n is the only nonzero value of the constant 1; the
+    # complement negates the spectrum, so its largest |W| stays put
+    one = walsh_transform(BooleanFunction.constant(5, 1))
+    assert one.values.max() == 0 and one.max_abs == 32
+    f = random_function(9, XorShift64Star(9))
+    spec, neg = walsh_transform(f), walsh_transform(~f)
+    assert np.array_equal(neg.values, -spec.values)
+    assert neg.max_abs == spec.max_abs == int(np.abs(spec.values).max())
 
 
 def test_walsh_allocates_the_result_and_little_else():
@@ -326,6 +338,22 @@ def test_mobius_agrees_with_the_reference_butterfly(n):
     for i in range(1, n + 1):
         got = [AnfPolynomial(n, m).degree_of_variable(i) for m in masks]
         assert got == reference_degree_of_variable(rows, n, i).tolist()
+
+
+def test_degree_per_variable_agrees_with_the_masked_degree():
+    # x_i's degree is the degree of the coefficients masked to x_i, the
+    # definition degree_of_variable used before
+    rng = XorShift64Star(12)
+    cases = [AnfPolynomial(n, rng.bits(1 << n)) for n in range(1, 13) for _ in range(3)]
+    cases += [AnfPolynomial(n, rng.bits(1 << n) & rng.bits(1 << n) & rng.bits(1 << n))
+              for n in range(1, 13)]  # sparser, so some degrees fall below n
+    cases.append(mobius(random_mm_bent(20, XorShift64Star(20))))
+    for p in cases:
+        per = p.degree_per_variable()
+        assert per == [p.degree_of_variable(i) for i in range(1, p.n + 1)]
+        on = [p.mask & _coordinate_mask(p.n, p.n - i) for i in range(1, p.n + 1)]
+        assert per == [AnfPolynomial(p.n, m).degree for m in on]
+        assert max(per, default=0) <= p.degree
 
 
 def test_mobius_allocates_less_than_a_byte_per_entry():

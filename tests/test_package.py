@@ -1,0 +1,105 @@
+"""The package surface: lazy re-exports, the program's entry point and
+its OpenBLAS thread default."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bentkit
+from bentkit import BooleanFunction, PermutationMap, mm_function, serialize_truth_table
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# every name the package exported when its __init__ imported eagerly
+EXPORTED = """
+AnalysisProfile BoundsReport ResiliencyReport analyze bounds_report
+complementary_plateaued dual is_bent is_semi_bent nonlinearity
+plateaued_order resiliency_report BentTriple LinearSubspace PermutationMap
+ResilientSumCertificate bent_triple_from_derivative class_d_bent
+class_d_restricted_sum direct_sum generalized_indirect_sum indirect_sum
+mm_function mm_restricted_sum psap_bent psap_restricted_sum
+resilient_indirect_sum resilient_indirect_sum_from_pair
+restricted_indirect_sum restricted_indirect_sum_dual rothaus
+rothaus_restricted_sum walsh_case AnfPolynomial BooleanFunction
+WalshSpectrum decode_point degree degree_of_variable encode_point mobius
+mobius_inv parse_truth_table serialize_truth_table walsh_transform
+CapError PremiseError TruthTableFormatError GaloisField OracleReport
+correlation_immune_by_definition exhaustive_nonlinearity naive_walsh
+resiliency_by_definition XorShift64Star __version__
+""".split()
+
+
+def python(code, **env_changes):
+    """Run `code` in a fresh interpreter with os.environ changed as given
+    (None removes a variable); its stripped stdout."""
+    env = dict(os.environ)
+    for key, value in env_changes.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_numpy():
+    assert python("import sys, bentkit; print('numpy' in sys.modules)") == "False"
+
+
+def test_every_old_export_resolves():
+    for name in EXPORTED:
+        value = getattr(bentkit, name)
+        if name != "__version__":
+            assert value is getattr(sys.modules[value.__module__], name)
+        assert name in dir(bentkit)
+    assert set(bentkit.__all__) == set(EXPORTED) - {"__version__"}
+    with pytest.raises(AttributeError):
+        bentkit.no_such_name  # noqa: B018
+
+
+def test_submodules_resolve_as_attributes():
+    assert python("import bentkit; print(bentkit.analysis.__name__)") == "bentkit.analysis"
+
+
+# The program prints its thread count and OPENBLAS_NUM_THREADS after a run.
+PROGRAM = """
+import os, sys
+from bentkit.__main__ import main
+sys.argv = ["bentkit", "wht", {path!r}]
+with open(os.devnull, "w") as sys.stdout:
+    code = main()
+sys.stdout = sys.__stdout__
+print(code, len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"])
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_program_runs_on_one_thread_unless_told_otherwise(tmp_path):
+    path = tmp_path / "f.tt"
+    path.write_text(serialize_truth_table(
+        mm_function(PermutationMap.identity(3), BooleanFunction.zero(3))
+    ))
+    code = PROGRAM.format(path=str(path))
+    assert python(code, OPENBLAS_NUM_THREADS=None) == "0 1 1"
+    status, _, setting = python(code, OPENBLAS_NUM_THREADS="2").split()
+    assert (status, setting) == ("0", "2")
+
+
+def test_library_import_leaves_the_environment_alone():
+    code = "import os, bentkit.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert python(code, OPENBLAS_NUM_THREADS=None) == "None"
+
+
+def test_project_script_target_is_callable():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    for target in project["scripts"].values():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr))
