@@ -5,8 +5,8 @@ Reports are JSON on stdout; truth tables travel as files in the
 canonical format.  Exit codes: 0 ok, 2 malformed or missing input file
 (truth table or parameter file), 3 violated construction premise or bad
 parameter, 4 oracle size cap exceeded, 1 anything else (including
-oracle divergence and an unwritable output file).  An output file is
-written whole or not at all.
+oracle divergence, an unwritable output file and a report that cannot be
+written to stdout).  An output file is written whole or not at all.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def _load(path: str) -> BooleanFunction:
 def _write(f: BooleanFunction, path: str | None) -> None:
     text = serialize_truth_table(f)
     if path is None:
-        sys.stdout.write(text)
+        print(text, end="")  # print, as the reports: a no-op with no stdout
         return
     tmp = None
     try:
@@ -413,7 +413,10 @@ def _fail(exc: Exception, code: int) -> int:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when the process has no stdout
+            sys.stdout.flush()  # a report that cannot be written fails here
+        return code
     except TruthTableFormatError as exc:
         return _fail(exc, 2)
     except CapError as exc:
@@ -424,5 +427,7 @@ def main(argv=None) -> int:
         return _fail(exc, 1)
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+if __name__ == "__main__":  # the same program as python -m bentkit
+    from bentkit.__main__ import run
+
+    run()

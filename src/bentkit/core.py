@@ -353,21 +353,26 @@ class WalshSpectrum:
 
 def _byte_walsh() -> np.ndarray:
     """Row b is the 8-point Walsh transform of the 3-variable function
-    whose table is byte b (bit x = value at index x), as int32."""
+    whose table is byte b (bit x = value at index x), as int16."""
     x = np.arange(8)
     fx = (np.arange(256)[:, None, None] >> x) & 1  # [b, 1, x]
     wx = np.bitwise_count(x[:, None] & x).astype(np.int64) & 1  # [w, x]
-    return (1 - 2 * (fx ^ wx)).sum(axis=-1, dtype=np.int32)
+    return (1 - 2 * (fx ^ wx)).sum(axis=-1, dtype=np.int16)
 
 
 _BYTE_WALSH = _byte_walsh()
 _BYTE_WALSH.flags.writeable = False
 
 
-# Stages with h below this run block by block: a block's two int32 halves
-# and the block-sized int32 scratch of the short-stride form take
-# 3 x 512 KiB, which stays inside a 2 MiB L2 cache.
+# Stages with h below this run block by block.  A block's two int32
+# halves take 2 x 512 KiB, which stays inside a 2 MiB L2 cache; its int16
+# stages work in 768 KiB of them.
 _BLOCK = 1 << 17
+
+# The first stage run in int32.  After the stage at pair distance h every
+# partial sum lies within +-2h, so the gather and the stages with h below
+# this stay within +-2^14 and are exact in int16, at half the bytes.
+_WIDE = 1 << 14
 
 # Below this pair distance NumPy buffers the strided (-1, 2, h) operands
 # (on a 2-vCPU VM an add over 2^15 pairs took 85 us at h = 8, 7 us at
@@ -376,13 +381,17 @@ _BLOCK = 1 << 17
 _SHORT = 1 << 12
 
 
-def _butterfly(src: np.ndarray, dst: np.ndarray, h: int, tmp: np.ndarray) -> None:
+def _butterfly(
+    src: np.ndarray, dst: np.ndarray, h: int, tmp: np.ndarray | None = None
+) -> None:
     """One stage from src into dst: each (x, y) pair h apart -> (x + y, x - y).
 
     For h < `_SHORT` both operations run over every offset-h pair, and
     only the rows that need each result keep it: dst[i] = src[i] + src[i+h]
     is right where bit h of i is clear, tmp[i+h] = src[i] - src[i+h] where
-    it is set, and the set rows are copied over.  tmp is as long as src.
+    it is set, and the set rows are copied over.  tmp is as long as src
+    and of its dtype.  Only int16 stages are that short (`_SHORT` <
+    `_WIDE`), and the others take no tmp.
     """
     if h < _SHORT:
         np.add(src[:-h], src[h:], out=dst[:-h])
@@ -399,18 +408,23 @@ def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
     """W_f(w) = sum_x (-1)^(f(x) xor w.x), in O(n 2^n).
 
     The int64 result is the only spectrum-sized allocation: its two int32
-    halves are the work buffers, and each butterfly stage reads one half
-    and writes the other.  Byte j of the packed mask is the table of
+    halves are the work buffers, and each int32 butterfly stage reads one
+    half and writes the other.  Byte j of the packed mask is the table of
     x -> f(8j + x) on the three fastest variables, so a gather from
     `_BYTE_WALSH` does the first three stages.  Tables of n < 3 are
-    repeated to fill a byte, which scales W by 2^(3-n) on w < 2^n.  The
-    gather and the stages with h < `_BLOCK` run one block at a time, the
-    rest over the whole array; a stage with h < `_SHORT` runs as two
-    contiguous operations and a copy through one block-sized int32
-    scratch array (see `_butterfly`).  Every partial sum lies within
-    +-2^n <= 2^26, so int32 is exact.  The last stage lands in the upper
-    half, which is widened forward in place.  The result is cached on the
-    function, which is immutable.
+    repeated to fill a byte, which scales W by 2^(3-n) on w < 2^n.
+
+    The gather and the stages with h < `_BLOCK` run one block at a time,
+    the rest over the whole array.  In a block, the gather and the stages
+    with h < `_WIDE` run in int16, which is exact there (see `_WIDE`), in
+    the two int16 halves of one of the block's int32 halves.  A stage with
+    h < `_SHORT` runs as two contiguous operations and a copy through a
+    block-sized scratch (see `_butterfly`): the front of the other int32
+    half.  The int16 result is widened into that other half, and the
+    stages from h = `_WIDE` on run in int32, which is exact as every
+    partial sum lies within +-2^n <= 2^26.  The last stage lands in the
+    upper half, which is widened forward in place.  The result is cached
+    on the function, which is immutable.
     """
     if f._spectrum is None:
         n = f.n
@@ -420,20 +434,27 @@ def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
         out = np.empty(size, np.int64)
         halves = out.view(np.int32).reshape(2, size)
         block = min(_BLOCK, size)
-        tmp = np.empty(block, np.int32)
-        first = (size.bit_length() - 1) & 1  # so the last stage writes halves[1]
+        # the int32 stages are h = _WIDE .. size/2; the last writes halves[1]
+        first = 1 ^ (max(size.bit_length() - _WIDE.bit_length(), 0) & 1)
         for lo in range(0, size, block):
             hi, side = lo + block, first
-            # mode="clip" writes straight into out; "raise" would buffer it
-            dst = halves[side, lo:hi].reshape(-1, 8)
+            x, y = halves[side ^ 1, lo:hi].view(np.int16).reshape(2, block)
+            tmp = halves[side, lo:hi].view(np.int16)[:block]
+            # mode="clip" writes straight into x; "raise" would buffer it
+            dst = x.reshape(-1, 8)
             _BYTE_WALSH.take(raw[lo // 8 : hi // 8], axis=0, out=dst, mode="clip")
             h = 8
+            while h < min(block, _WIDE):
+                _butterfly(x, y, h, tmp)
+                x, y = y, x
+                h *= 2
+            halves[side, lo:hi] = x
             while h < block:
-                _butterfly(halves[side, lo:hi], halves[side ^ 1, lo:hi], h, tmp)
+                _butterfly(halves[side, lo:hi], halves[side ^ 1, lo:hi], h)
                 side ^= 1
                 h *= 2
-        while h < size:  # h >= _BLOCK > _SHORT here, so tmp goes unused
-            _butterfly(halves[side], halves[side ^ 1], h, tmp)
+        while h < size:
+            _butterfly(halves[side], halves[side ^ 1], h)
             side ^= 1
             h *= 2
         # Widen over halving chunks [lo, lo + c): the int64 writes end at

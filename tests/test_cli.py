@@ -1,6 +1,8 @@
+import errno
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -14,7 +16,12 @@ from bentkit import (
     serialize_truth_table,
     walsh_transform,
 )
-from bentkit.rand import XorShift64Star, random_function, random_mm_bent_triple
+from bentkit.rand import (
+    XorShift64Star,
+    random_function,
+    random_mm_bent,
+    random_mm_bent_triple,
+)
 
 MM4 = mm_function(PermutationMap.identity(2), BooleanFunction.zero(2))
 
@@ -390,6 +397,68 @@ def test_failed_write_keeps_the_old_output(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == f"error: cannot write {out}: No space left on device\n"
     assert out.read_text() == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["h.tt", "params.json"]
+
+
+# the environment with stdout buffered, as it is by default
+BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command, n", [("wht", 4), ("dual", 16)])
+def test_report_that_cannot_be_written_exits_1(tmp_path, command, n):
+    # with stdout buffered, a small report fails only at the final flush
+    # and a large one already in the command
+    p = put(tmp_path, "f.tt", random_mm_bent(n, XorShift64Star(n)))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bentkit", command, str(p)],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=BUFFERED,
+        )
+    enospc = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert (proc.returncode, proc.stderr) == (1, f"error: {enospc}\n")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 in a POSIX shell")
+@pytest.mark.parametrize("command", ["analyze", "dual"])
+def test_program_without_stdout_exits_0(tmp_path, command):
+    # with fd 1 closed the interpreter sets sys.stdout to None and print
+    # drops the report or table; flushing it must not fail either
+    p = put(tmp_path, "f.tt", MM4)
+    line = f"{shlex.quote(sys.executable)} -m bentkit {command} {shlex.quote(str(p))} >&-"
+    proc = subprocess.run(line, shell=True, stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_program_output_is_complete_at_its_early_exit(tmp_path, capsys):
+    """The program ends with os._exit after flushing: what it writes to a
+    pipe and to a file matches an in-process run of the same arguments."""
+    from bentkit import cli
+
+    def program(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bentkit", *argv], capture_output=True, env=BUFFERED
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        return proc.stdout
+
+    def library(*argv):
+        assert cli.main(list(argv)) == 0
+        return capsys.readouterr().out.encode()
+
+    f = put(tmp_path, "f.tt", random_mm_bent(16, XorShift64Star(16)))
+    table = program("dual", f)
+    assert len(table) > 8192  # more than one stdout buffer
+    assert table == library("dual", str(f))
+
+    h = tmp_path / "h.tt"
+    build = ["build", "restricted-indirect-sum", "--f", str(f), "--mu", "3",
+             "--g", str(put(tmp_path, "g.tt", MM4)), "--rho", "2", "--variant", "01",
+             "-o", str(h)]
+    report = program(*build)
+    written = h.read_bytes()
+    h.unlink()
+    assert report == library(*build)
+    assert written == h.read_bytes() and len(written) > 1 << 16
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])

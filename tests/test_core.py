@@ -201,6 +201,22 @@ def test_walsh_agrees_with_the_reference_butterfly_on_large_bent(n):
     assert np.all(np.abs(got) == 1 << (n // 2))
 
 
+@pytest.mark.parametrize("n", range(13, 19))
+def test_walsh_is_exact_across_the_int16_boundary(n):
+    # The stages below pair distance 2^14 run in int16.  These functions
+    # reach the extremes there: +-2^14 after the last int16 stage and
+    # +-2^15 after the first int32 one, which would wrap in int16.
+    # Random tables never come near them.
+    functions = [
+        BooleanFunction.zero(n),
+        BooleanFunction.constant(n, 1),
+        BooleanFunction.linear(n, (1 << n) - 1),
+        *(BooleanFunction.linear(n, 1 << s) for s in range(n)),
+    ]
+    for f in functions:
+        assert np.array_equal(walsh_transform(f).values, reference_walsh(f))
+
+
 def test_max_abs_reads_the_negative_extreme():
     # W(0) = -2^n is the only nonzero value of the constant 1; the
     # complement negates the spectrum, so its largest |W| stays put
@@ -230,7 +246,7 @@ def test_byte_table_is_the_3_variable_spectrum():
     from bentkit.core import _BYTE_WALSH
     from bentkit.oracle import naive_walsh
 
-    assert _BYTE_WALSH.dtype == np.int32 and _BYTE_WALSH.shape == (256, 8)
+    assert _BYTE_WALSH.dtype == np.int16 and _BYTE_WALSH.shape == (256, 8)
     for b in range(256):
         assert list(_BYTE_WALSH[b]) == list(naive_walsh(BooleanFunction(3, b)).values)
 
