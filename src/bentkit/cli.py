@@ -79,7 +79,15 @@ def cmd_analyze(args) -> int:
 
 def cmd_wht(args) -> int:
     f = _load(args.path)
-    _emit({"n": f.n, "values": walsh_transform(f).values.tolist()})
+    values = walsh_transform(f).values
+    # the bytes of _emit({"n": ..., "values": [...]}), 2^16 values at a time
+    # so that no list or string of the whole spectrum is built
+    step = 1 << 16
+    for lo in range(0, values.size, step):
+        head = f'{{\n  "n": {f.n},\n  "values": [\n    ' if lo == 0 else ",\n    "
+        items = ",\n    ".join(map(str, values[lo : lo + step].tolist()))
+        print(head, items, sep="", end="")
+    print("\n  ]\n}")
     return 0
 
 

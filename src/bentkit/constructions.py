@@ -96,24 +96,6 @@ class PermutationMap:
     def __call__(self, y: int) -> int:
         return self.images[y]
 
-    def coordinate(self, i: int) -> BooleanFunction:
-        """The i-th coordinate function, as a k-variable function."""
-        if not 1 <= i <= self.r:
-            raise ValueError(f"output coordinate {i} out of range")
-        bit = self.r - i
-        return BooleanFunction(self.k, [(v >> bit) & 1 for v in self.images])
-
-    def drop_coordinate(self, i: int) -> "PermutationMap":
-        """Remove output coordinate i, keeping the others in order."""
-        if not 1 <= i <= self.r:
-            raise ValueError(f"output coordinate {i} out of range")
-        pos = self.r - i
-        low = (1 << pos) - 1
-        return PermutationMap(
-            [((v >> (pos + 1)) << pos) | (v & low) for v in self.images],
-            r=self.r - 1,
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PermutationMap)
@@ -266,9 +248,9 @@ def class_d_bent(
     image = sorted(phi(v) for v in e2.members())
     if image != e1.orthogonal().members():
         raise PremiseError("class D requires phi(E2) to equal the dual of E1")
-    base = mm_function(phi, BooleanFunction.zero(k))
-    prod = np.bitwise_and.outer(e1.indicator(), e2.indicator()).reshape(-1)
-    return BooleanFunction(2 * k, base.values() ^ prod)
+    zero = BooleanFunction.zero(k)
+    ind = BooleanFunction(k, e1.indicator()), BooleanFunction(k, e2.indicator())
+    return mm_function(phi, zero) ^ _two_block(zero, zero, ind)
 
 
 def class_d_e1(phi: PermutationMap, e2: LinearSubspace) -> LinearSubspace:
@@ -281,65 +263,57 @@ def class_d_e1(phi: PermutationMap, e2: LinearSubspace) -> LinearSubspace:
 # -- classical secondary builders ----------------------------------------
 
 
-def direct_sum(f: BooleanFunction, g: BooleanFunction) -> BooleanFunction:
-    """h(x, y) = f(x) + g(y) on n+m variables."""
-    check_total(f.n + g.n)
-    table = np.bitwise_xor.outer(f.values(), g.values())
-    return BooleanFunction(f.n + g.n, table.reshape(-1))
-
-
-def _indirect_tables(
+def _two_block(
     fa: BooleanFunction,
-    df: BooleanFunction,
     gb: BooleanFunction,
-    dg: BooleanFunction,
+    *products: tuple[BooleanFunction, BooleanFunction],
 ) -> BooleanFunction:
-    """fa(x) + gb(y) + df(x) dg(y) with the block layout.
-
-    With 3 or more y variables the row of each x is whole bytes of the
-    packed table: dg's bytes where df(x) = 1, XOR gb's bytes, complemented
-    where fa(x) = 1.  Rows of 1 or 2 variables are built bit by bit."""
+    """fa(x) + gb(y) + the sum of p(x) q(y) over the (p, q) products, with
+    the block layout.  With 3 or more y variables the row of each x is
+    whole bytes of the packed table: gb's bytes complemented where
+    fa(x) = 1, XOR q's bytes where p(x) = 1 for each product.  Rows of 1
+    or 2 variables are built bit by bit."""
     check_total(fa.n + gb.n)
     if gb.n < 3:
-        table = np.bitwise_and.outer(df.values(), dg.values())
-        table ^= np.bitwise_xor.outer(fa.values(), gb.values())
+        table = np.bitwise_xor.outer(fa.values(), gb.values())
+        for p, q in products:
+            table ^= np.bitwise_and.outer(p.values(), q.values())
         return BooleanFunction(fa.n + gb.n, table.reshape(-1))
     ones = np.uint8(0xFF)
-    rows = np.bitwise_and.outer(df.values() * ones, _mask_bytes(dg.mask, dg.n))
-    rows ^= np.bitwise_xor.outer(fa.values() * ones, _mask_bytes(gb.mask, gb.n))
+    rows = np.bitwise_xor.outer(fa.values() * ones, _mask_bytes(gb.mask, gb.n))
+    for p, q in products:
+        rows ^= np.bitwise_and.outer(p.values() * ones, _mask_bytes(q.mask, q.n))
     return BooleanFunction(fa.n + gb.n, int.from_bytes(rows.tobytes(), "little"))
 
 
+def direct_sum(f: BooleanFunction, g: BooleanFunction) -> BooleanFunction:
+    """h(x, y) = f(x) + g(y) on n+m variables."""
+    return _two_block(f, g)
+
+
 def indirect_sum(
-    f1: BooleanFunction,
-    f2: BooleanFunction,
-    g1: BooleanFunction,
-    g2: BooleanFunction,
+    f1: BooleanFunction, f2: BooleanFunction, g1: BooleanFunction, g2: BooleanFunction
 ) -> BooleanFunction:
     """f1(x) + g1(y) + (f1+f2)(x)(g1+g2)(y); maps bent 4-tuples to bent
-    functions, with the dual given by the same formula on the duals."""
-    if f1.n != f2.n:
-        raise ValueError(f"variable counts differ: {f1.n} vs {f2.n}")
-    if g1.n != g2.n:
-        raise ValueError(f"variable counts differ: {g1.n} vs {g2.n}")
-    return _indirect_tables(f1, f1 ^ f2, g1, g1 ^ g2)
+    functions, with the dual given by the same formula on the duals.
+    Mismatched variable counts on either side are a ValueError."""
+    return _two_block(f1, g1, (f1 ^ f2, g1 ^ g2))
 
 
 def _with_fresh_product(a: BooleanFunction, b: BooleanFunction) -> BooleanFunction:
     """a(x) + b(x) z on n+1 variables, the fresh z appended after x_n."""
-    z = BooleanFunction.variable(1, 1)
-    return _indirect_tables(a, b, BooleanFunction.zero(1), z)
+    return _two_block(a, BooleanFunction.zero(1), (b, BooleanFunction.variable(1, 1)))
 
 
 def _rothaus_halves(
     f1: BooleanFunction, f2: BooleanFunction, f3: BooleanFunction
 ) -> tuple[BooleanFunction, BooleanFunction]:
     """The Rothaus extension maj(f1, f2, f3) + (f1+f2) y + (f1+f3) z + y z
-    split at its last fresh variable z: the base half (z = 0) is
-    maj + (f1+f2) y and the difference half is (f1+f3) + y."""
+    split at its last fresh variable z: the half h0 (z = 0) is
+    maj + (f1+f2) y and the half h1 (z = 1) is h0 + (f1+f3) + y."""
     maj = (f1 & f2) ^ (f1 & f3) ^ (f2 & f3)
-    one = BooleanFunction.constant(f1.n, 1)
-    return _with_fresh_product(maj, f1 ^ f2), _with_fresh_product(f1 ^ f3, one)
+    h0 = _with_fresh_product(maj, f1 ^ f2)
+    return h0, _with_fresh_product(maj ^ f1 ^ f3, ~(f1 ^ f2))
 
 
 def rothaus(
@@ -352,10 +326,24 @@ def rothaus(
         raise ValueError("the three inputs must share a variable count")
     check_total(f1.n + 2)
     _require_bent(*_with_xor("f", f1, f2, f3))
-    return _with_fresh_product(*_rothaus_halves(f1, f2, f3))
+    h0, h1 = _rothaus_halves(f1, f2, f3)
+    return _with_fresh_product(h0, h0 ^ h1)
 
 
 # -- the restricted indirect sum -----------------------------------------
+
+
+def _check_coordinates(mu: int, n: int, rho: int, m: int) -> None:
+    """An out-of-range coordinate is a bad parameter, reported before any premise."""
+    if not (1 <= mu <= n and 1 <= rho <= m):
+        raise ValueError(f"mu must be in [1, {n}] and rho in [1, {m}], got {mu}, {rho}")
+
+
+def _halves(
+    f: BooleanFunction, j: int, a: int = 0
+) -> tuple[BooleanFunction, BooleanFunction]:
+    """The restrictions of f to x_j = a and to x_j = 1 - a."""
+    return f.restrict(j, a), f.restrict(j, 1 - a)
 
 
 def restricted_indirect_sum(
@@ -365,22 +353,21 @@ def restricted_indirect_sum(
     rho: int,
     variant: str = "00",
 ) -> BooleanFunction:
-    """Split two bent functions at one coordinate each and recombine the
-    restrictions through the indirect-sum formula, landing in n+m-2
-    variables.  variant picks which restriction serves as the base term
-    on each side ("00" uses f_0 and g_0); all four variants are bent.
+    """Split two bent functions at one coordinate each and take the
+    indirect sum of the two pairs of restrictions, landing in n+m-2
+    variables.  variant "ab" is indirect_sum(f_a, f_a', g_b, g_b') with
+    a' = 1 - a and b' = 1 - b ("00" uses f_0 and g_0 as base terms); all
+    four variants are bent.
     """
     check_total(f.n + g.n - 2)
+    _check_coordinates(mu, f.n, rho, g.n)
     if f.n % 2 or g.n % 2:
         raise PremiseError("inputs must have even variable counts")
     if variant not in ("00", "01", "10", "11"):
         raise ValueError(f"variant must be one of 00/01/10/11, got {variant!r}")
     _require_bent(("f", f), ("g", g))
-    f0, f1 = f.restrict(mu, 0), f.restrict(mu, 1)
-    g0, g1 = g.restrict(rho, 0), g.restrict(rho, 1)
-    fa = f1 if variant[0] == "1" else f0
-    gb = g1 if variant[1] == "1" else g0
-    return _indirect_tables(fa, f0 ^ f1, gb, g0 ^ g1)
+    a, b = int(variant[0]), int(variant[1])
+    return indirect_sum(*_halves(f, mu, a), *_halves(g, rho, b))
 
 
 def restricted_indirect_sum_dual(
@@ -389,10 +376,8 @@ def restricted_indirect_sum_dual(
     """The dual of restricted_indirect_sum(f, mu, g, rho, "00"), built
     from the same formula over restrictions of the two duals."""
     check_total(f.n + g.n - 2)
-    df, dg = dual(f), dual(g)
-    df0, df1 = df.restrict(mu, 0), df.restrict(mu, 1)
-    dg0, dg1 = dg.restrict(rho, 0), dg.restrict(rho, 1)
-    return _indirect_tables(df0, df0 ^ df1, dg0, dg0 ^ dg1)
+    _check_coordinates(mu, f.n, rho, g.n)
+    return indirect_sum(*_halves(dual(f), mu), *_halves(dual(g), rho))
 
 
 def mm_restricted_sum(
@@ -403,23 +388,17 @@ def mm_restricted_sum(
     u: BooleanFunction,
     v: BooleanFunction,
 ) -> BooleanFunction:
-    """The restricted indirect sum of two M-M functions, built directly:
-    both M-M parts lose their mu-th / rho-th affine term and the product
-    phi_mu(x'') psi_rho(y'') is added.  Bit-identical to composing
-    mm_function with restricted_indirect_sum at the same coordinates."""
+    """The restricted indirect sum of two M-M functions at affine
+    coordinates mu and rho: the indirect sum of the halves of
+    mm_function(phi, u) at x_mu and of mm_function(psi, v) at x_rho.
+    Both M-M functions are bent by construction, so no Walsh transform
+    is run."""
     check_total(2 * phi.k + 2 * psi.k - 2)
+    _check_coordinates(mu, phi.k, rho, psi.k)
     if not (phi.is_permutation and psi.is_permutation):
         raise PremiseError("both maps must be Boolean permutations")
-    if not 1 <= mu <= phi.k or not 1 <= rho <= psi.k:
-        raise ValueError("mu and rho must index an affine coordinate")
-    fside = mm_function(phi.drop_coordinate(mu), u)  # n-1 variables
-    gside = mm_function(psi.drop_coordinate(rho), v)  # m-1 variables
-    # phi_mu(y) and psi_rho(y) as functions of each side's (x', y)
-    cf = np.tile(phi.coordinate(mu).values(), 1 << (phi.k - 1))
-    cg = np.tile(psi.coordinate(rho).values(), 1 << (psi.k - 1))
-    return _indirect_tables(
-        fside, BooleanFunction(fside.n, cf), gside, BooleanFunction(gside.n, cg)
-    )
+    f, g = mm_function(phi, u), mm_function(psi, v)
+    return indirect_sum(*_halves(f, mu), *_halves(g, rho))
 
 
 def _trace_hyperplane_split(
@@ -489,7 +468,7 @@ def psap_restricted_sum(
     g = psap_bent(field_g, vartheta)
     f0, f1 = _trace_hyperplane_split(f, field_f, form_f, shift_f)
     g0, g1 = _trace_hyperplane_split(g, field_g, form_g, shift_g)
-    return _indirect_tables(f0, f0 ^ f1, g0, g0 ^ g1)
+    return indirect_sum(f0, f1, g0, g1)
 
 
 def rothaus_restricted_sum(
@@ -505,7 +484,7 @@ def rothaus_restricted_sum(
     restricted_indirect_sum of the two extensions at that variable."""
     check_total(f1.n + g1.n + 2)
     _require_bent(*_with_xor("f", f1, f2, f3), *_with_xor("g", g1, g2, g3))
-    return _indirect_tables(*_rothaus_halves(f1, f2, f3), *_rothaus_halves(g1, g2, g3))
+    return indirect_sum(*_rothaus_halves(f1, f2, f3), *_rothaus_halves(g1, g2, g3))
 
 
 def class_d_restricted_sum(
@@ -521,10 +500,9 @@ def class_d_restricted_sum(
     """Restricted indirect sum of two class-D bent functions at affine
     coordinates mu and rho (composition route)."""
     check_total(2 * phi.k + 2 * psi.k - 2)
+    _check_coordinates(mu, phi.k, rho, psi.k)
     f = class_d_bent(phi, e1, e2)
     g = class_d_bent(psi, xi1, xi2)
-    if not 1 <= mu <= phi.k or not 1 <= rho <= psi.k:
-        raise ValueError("mu and rho must index an affine coordinate")
     return restricted_indirect_sum(f, mu, g, rho, "00")
 
 
@@ -613,8 +591,7 @@ def generalized_indirect_sum(
         raise ValueError("f inputs must share a variable count")
     if not (g1.n == g2.n == g3.n):
         raise ValueError("g inputs must share a variable count")
-    n, m = f1.n, g1.n
-    check_total(n + m)
+    check_total(f1.n + g1.n)
     if mode == "resilient":
         if t is None or k is None:
             raise ValueError("resilient mode needs both t and k")
@@ -625,9 +602,7 @@ def generalized_indirect_sum(
         _require_bent(*_with_xor("g", g1, g2, g3))
     elif mode is not None:
         raise ValueError(f"unknown mode {mode!r}")
-    cross = np.bitwise_and.outer((f2 ^ f3).values(), (g2 ^ g3).values())
-    h = _indirect_tables(f1, f1 ^ f2, g1, g1 ^ g2)
-    return h ^ BooleanFunction(n + m, cross.reshape(-1))
+    return _two_block(f1, g1, (f1 ^ f2, g1 ^ g2), (f2 ^ f3, g2 ^ g3))
 
 
 _CASE_MULTIPLIER = {1: "g1", 2: "nu2", 3: "g2", 4: "g3"}

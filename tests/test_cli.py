@@ -74,6 +74,16 @@ def test_wht_and_anf(tmp_path):
     assert out["values"] == walsh_transform(f).values.tolist()
 
 
+@pytest.mark.parametrize("n", [1, 3, 17])  # 17: two chunks of 2^16 values
+def test_wht_report_is_the_indented_json(tmp_path, capsys, n):
+    from bentkit import cli
+
+    f = random_function(n, XorShift64Star(n))
+    assert cli.main(["wht", str(put(tmp_path, "f.tt", f))]) == 0
+    want = {"n": n, "values": walsh_transform(f).values.tolist()}
+    assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
+
+
 def test_dual_round_trip(tmp_path):
     p = put(tmp_path, "f.tt", MM4)
     o = tmp_path / "dual.tt"
@@ -419,7 +429,7 @@ def test_report_that_cannot_be_written_exits_1(tmp_path, command, n):
 
 
 @pytest.mark.skipif(os.name != "posix", reason="closes fd 1 in a POSIX shell")
-@pytest.mark.parametrize("command", ["analyze", "dual"])
+@pytest.mark.parametrize("command", ["analyze", "dual", "wht"])
 def test_program_without_stdout_exits_0(tmp_path, command):
     # with fd 1 closed the interpreter sets sys.stdout to None and print
     # drops the report or table; flushing it must not fail either

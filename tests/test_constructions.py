@@ -35,7 +35,7 @@ from bentkit import (
     walsh_case,
     walsh_transform,
 )
-from bentkit.constructions import _indirect_tables
+from bentkit.constructions import _two_block
 from bentkit.oracle import naive_walsh, resiliency_by_definition
 from bentkit.rand import (
     XorShift64Star,
@@ -60,12 +60,10 @@ def test_permutation_map_basics():
     p = PermutationMap.identity(3)
     assert p.is_permutation
     assert p(5) == 5
-    assert p.coordinate(1) == BooleanFunction.variable(3, 1)
     q = PermutationMap([3, 3, 0, 1])
     assert not q.is_permutation
     wide = PermutationMap([1, 2, 4, 8], r=4)
     assert not wide.is_permutation
-    assert wide.drop_coordinate(4).images == (0, 1, 2, 4)
 
 
 def test_linear_subspace_canonical_basis():
@@ -216,15 +214,18 @@ def test_indirect_sum_bent_with_dual_formula():
 def test_indirect_tables_match_the_bit_formula(nx, ny):
     # y blocks of 3 or more variables take the byte-row path, 1 and 2 the bit path
     rng = XorShift64Star(100 * nx + ny)
-    for _ in range(3):
-        fa, df = random_function(nx, rng), random_function(nx, rng)
-        gb, dg = random_function(ny, rng), random_function(ny, rng)
-        h = _indirect_tables(fa, df, gb, dg)
+    for count in (0, 1, 2) * 2:  # direct, indirect and generalized indirect sums
+        fa, gb = random_function(nx, rng), random_function(ny, rng)
+        products = [(random_function(nx, rng), random_function(ny, rng))
+                    for _ in range(count)]
+        h = _two_block(fa, gb, *products)
         assert h.n == nx + ny
         for x in range(1 << nx):
             for y in range(1 << ny):
-                want = fa.bit(x) ^ gb.bit(y) ^ (df.bit(x) & dg.bit(y))
-                assert h.bit((x << ny) | y) == want, (x, y)
+                want = fa.bit(x) ^ gb.bit(y)
+                for p, q in products:
+                    want ^= p.bit(x) & q.bit(y)
+                assert h.bit((x << ny) | y) == want, (x, y, count)
 
 
 # -- restricted indirect sum --------------------------------------------------
@@ -860,5 +861,28 @@ def _unbalanced_psap(m):
 ])
 def test_output_size_is_checked_before_any_premise(build):
     with pytest.raises(ValueError, match="composite output would need 28 > 26") as exc:
+        build()
+    assert type(exc.value) is ValueError  # not a PremiseError
+
+
+# Each call has an out-of-range coordinate and also breaks a premise of its
+# builder: non-bent inputs, or maps that are not permutations.
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: restricted_indirect_sum(*_zeros(4, 1), 99, *_zeros(4, 1), 1),
+                 id="restricted-indirect-sum"),
+    pytest.param(lambda: restricted_indirect_sum(*_zeros(4, 1), 1, *_zeros(6, 1), 0),
+                 id="restricted-indirect-sum-rho"),
+    pytest.param(lambda: restricted_indirect_sum_dual(*_zeros(4, 1), 0, *_zeros(4, 1), 1),
+                 id="restricted-indirect-sum-dual"),
+    pytest.param(lambda: mm_restricted_sum(_flat_map(2), _flat_map(3), 3, 1,
+                                           *_zeros(2, 1), *_zeros(3, 1)),
+                 id="mm-restricted-sum"),
+    pytest.param(lambda: class_d_restricted_sum(
+        _flat_map(2), LinearSubspace.zero(2), LinearSubspace.zero(2),
+        _flat_map(2), LinearSubspace.zero(2), LinearSubspace.zero(2), 1, 3),
+                 id="class-d-restricted-sum"),
+])
+def test_coordinates_are_checked_before_any_premise(build):
+    with pytest.raises(ValueError, match="mu must be in") as exc:
         build()
     assert type(exc.value) is ValueError  # not a PremiseError

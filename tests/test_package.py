@@ -103,3 +103,9 @@ def test_project_script_target_is_callable():
     for target in project["scripts"].values():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_readme_library_tour_runs():
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    python(tour)
