@@ -4,9 +4,10 @@ Index convention: a point x = (x_1, ..., x_n) of F_2^n maps to the table
 index i = sum_j x_j * 2^(n-j), i.e. x_1 is the most significant bit and
 x_n varies fastest.  Every table, spectrum and ANF in the package is
 indexed this way.  Truth tables are stored bit-packed in a Python int
-(bit i of the int is f at index i).  Moebius and the affine tables work
-on the int itself; numpy views are materialised on demand for the Walsh
-kernel and the degree and support scans.
+(bit i of the int is f at index i).  Moebius, the affine tables,
+translate, restrict and the ANF degree work on the int or its bytes;
+numpy views are materialised on demand for the Walsh kernel and the
+support scans.
 """
 
 from __future__ import annotations
@@ -73,6 +74,22 @@ def _coordinate_mask(n: int, s: int) -> int:
         m |= m << width
         width *= 2
     return m
+
+
+def _nibble_select(p: int, b: int) -> bytes:
+    """A bytes.translate table taking a byte, the table on index bits
+    0-2, to the nibble of its bits x with bit p of x equal to b."""
+    keep = np.array([x for x in range(8) if x >> p & 1 == b])
+    nibble = ((np.arange(256)[:, None] >> keep) & 1) @ (1 << np.arange(4))
+    return nibble.astype(np.uint8).tobytes()
+
+
+_NIBBLE_SELECT = [[_nibble_select(p, b) for b in (0, 1)] for p in range(3)]
+
+# entry v: the largest weight wt(x) among the set bits x of the byte v
+_TOP_WEIGHT = (
+    ((np.arange(256)[:, None] >> np.arange(8)) & 1) * np.bitwise_count(np.arange(8))
+).max(axis=1)
 
 
 def _pack_bits(bits: np.ndarray) -> int:
@@ -213,12 +230,17 @@ class BooleanFunction:
         return f"BooleanFunction(n={self._n}, {body})"
 
     def translate(self, a) -> "BooleanFunction":
-        """x -> f(x xor a)."""
+        """x -> f(x xor a): for each set bit s of a, the two halves of
+        every 2^(s+1)-bit period of the packed table swap places."""
         shift = _as_index(a, self._n)
         if shift == 0:
             return self
-        idx = np.arange(1 << self._n, dtype=np.intp)
-        return BooleanFunction(self._n, self.values()[idx ^ shift])
+        mask = self._mask
+        for s in range(shift.bit_length()):
+            if shift >> s & 1:
+                high, w = _coordinate_mask(self._n, s), 1 << s
+                mask = (mask & high) >> w | (mask << w) & high
+        return BooleanFunction(self._n, mask)
 
     def derivative(self, a) -> "BooleanFunction":
         """D_a f: x -> f(x) xor f(x xor a)."""
@@ -233,9 +255,15 @@ class BooleanFunction:
         if b not in (0, 1):
             raise ValueError(f"restriction value must be a bit, got {b!r}")
         p = self._n - j  # bit position of x_j inside the index
-        block = 1 << p
-        sub = self.values().reshape(-1, 2 * block)[:, b * block : (b + 1) * block]
-        return BooleanFunction(self._n - 1, sub.reshape(-1))
+        raw = self._mask.to_bytes(_table_bytes(self._n), "little")
+        if p >= 3:  # each half is a run of 2^(p-3) whole bytes
+            rows = np.frombuffer(raw, np.uint8).reshape(-1, 2, 1 << (p - 3))
+            mask = int.from_bytes(rows[:, b].tobytes(), "little")
+        else:  # byte 2k gives the low nibble of byte k, byte 2k + 1 the high
+            select = _NIBBLE_SELECT[p][b]
+            low = int.from_bytes(raw[0::2].translate(select), "little")
+            mask = low | int.from_bytes(raw[1::2].translate(select), "little") << 4
+        return BooleanFunction(self._n - 1, mask)
 
 
 # -- truth-table file format ------------------------------------------
@@ -510,8 +538,13 @@ class AnfPolynomial:
 
     @property
     def degree(self) -> int:
-        """Max monomial size; 0 for the zero function by convention."""
-        return int(np.bitwise_count(self._support()).max(initial=0))
+        """Max monomial size; 0 for the zero function by convention.
+        Byte k holds the subsets I = 8k + x, of size wt(k) + wt(x), so
+        the degree is the max over nonzero bytes of wt(k) plus the
+        largest wt(x) among the byte's set bits."""
+        raw = _mask_bytes(self.mask, self.n)
+        k = np.flatnonzero(raw)
+        return int((np.bitwise_count(k) + _TOP_WEIGHT[raw[k]]).max(initial=0))
 
     def degree_per_variable(self) -> list[int]:
         """For x_1, ..., x_n in turn, the size of the longest monomial

@@ -22,6 +22,7 @@ from .galois import GaloisField
 from .analysis import resiliency_report
 
 _MASK64 = (1 << 64) - 1
+_MULT = 0x2545F4914F6CDD1D
 
 
 class XorShift64Star:
@@ -38,7 +39,7 @@ class XorShift64Star:
         x ^= (x << 25) & _MASK64
         x ^= x >> 27
         self.state = x
-        return (x * 0x2545F4914F6CDD1D) & _MASK64
+        return (x * _MULT) & _MASK64
 
     def bits(self, k: int) -> int:
         """A uniform k-bit integer: the top k bits of ceil(k / 64) words,
@@ -50,12 +51,28 @@ class XorShift64Star:
         return int.from_bytes(raw, "big") >> (64 * words - k)
 
     def randrange(self, n: int) -> int:
+        """A uniform draw from [0, n): the top (n - 1).bit_length() bits of
+        each word until one is below n, as `bits` draws them.  Up to 64
+        bits the xorshift64* step runs inline, with no call per word."""
         if n <= 0:
             raise ValueError("empty range")
         k = (n - 1).bit_length()
+        if k > 64:
+            while True:
+                v = self.bits(k)
+                if v < n:
+                    return v
+        if k == 0:  # bits(0) draws no word
+            return 0
+        shift = 64 - k
+        x = self.state
         while True:
-            v = self.bits(k)
+            x ^= x >> 12
+            x ^= (x << 25) & _MASK64
+            x ^= x >> 27
+            v = ((x * _MULT) & _MASK64) >> shift
             if v < n:
+                self.state = x
                 return v
 
     def randint(self, lo: int, hi: int) -> int:
@@ -65,9 +82,20 @@ class XorShift64Star:
         return seq[self.randrange(len(seq))]
 
     def shuffle(self, items: list) -> None:
+        """Fisher-Yates from the end, j = randrange(i + 1) at each i, with
+        the xorshift64* step inline."""
+        x = self.state
         for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
+            shift = 64 - i.bit_length()
+            while True:
+                x ^= x >> 12
+                x ^= (x << 25) & _MASK64
+                x ^= x >> 27
+                j = ((x * _MULT) & _MASK64) >> shift
+                if j <= i:
+                    break
             items[i], items[j] = items[j], items[i]
+        self.state = x
 
 
 _FIELDS: dict[int, GaloisField] = {}
@@ -166,12 +194,21 @@ _TRIPLE_TRIES = 400  # three-draw attempts before the affine fallback
 def random_resilient_triple(
     n: int, t: int, rng: XorShift64Star
 ) -> tuple[BooleanFunction, BooleanFunction, BooleanFunction]:
-    """Three t-resilient functions whose XOR is also t-resilient."""
+    """Three t-resilient functions whose XOR is also t-resilient.
+
+    A resiliency of t >= 0 needs W(0) = 0, a balanced XOR, so the weight
+    of the XOR rejects an attempt before any spectrum is computed, and
+    decides t = 0 alone; only t >= 1 computes the XOR's spectrum.  Every
+    t < 0 holds (resiliency >= -1), so the first attempt is taken.
+    """
     for _ in range(_TRIPLE_TRIES):
         f1 = random_resilient(n, t, rng)
         f2 = random_resilient(n, t, rng)
         f3 = random_resilient(n, t, rng)
-        if resiliency_report(f1 ^ f2 ^ f3).resiliency >= t:
+        if t < 0:
+            return f1, f2, f3
+        xor = f1 ^ f2 ^ f3
+        if xor.is_balanced and (t == 0 or resiliency_report(xor).resiliency >= t):
             return f1, f2, f3
     # fall back to affine masks, where the XOR condition is a one-liner
     while True:

@@ -299,6 +299,32 @@ def test_degree_examples():
     assert degree_of_variable(h, 3) == 1
     assert degree(BooleanFunction.linear(4, 0b1010)) == 1
     assert degree(BooleanFunction.zero(4)) == 0
+    # one monomial: its size, wherever its coefficient sits in its byte
+    for n in (1, 2, 3, 9, 16):
+        for monomial in (0, 1, (1 << n) - 2, (1 << n) - 1, 0b101 & ((1 << n) - 1)):
+            assert AnfPolynomial(n, 1 << monomial).degree == monomial.bit_count()
+
+
+def reference_degree(p):
+    """The largest weight in the unpacked support: the flatnonzero scan
+    AnfPolynomial.degree used before it read the coefficient bytes."""
+    support = np.flatnonzero(BooleanFunction(p.n, p.mask).values())
+    return int(np.bitwise_count(support).max(initial=0))
+
+
+def test_degree_agrees_with_the_support_scan():
+    # zero, constant one, full, single monomials and seeded tables, dense
+    # and sparse, at every n <= 16
+    rng = XorShift64Star(1601)
+    for n in range(1, 17):
+        size = 1 << n
+        masks = [0, 1, (1 << size) - 1]
+        masks += [1 << rng.randrange(size) for _ in range(4)]
+        masks += [rng.bits(size) for _ in range(3)]
+        masks += [rng.bits(size) & rng.bits(size) & rng.bits(size) & rng.bits(size)]
+        for mask in masks:
+            p = AnfPolynomial(n, mask)
+            assert p.degree == reference_degree(p), (n, mask)
 
 
 def test_degree_of_variable_mm_bent():
@@ -412,10 +438,37 @@ def test_restrict_examples():
     f = X1X2
     assert f.restrict(1, 0) == BooleanFunction.zero(1)
     assert f.restrict(1, 1) == BooleanFunction(1, [0, 1])
+    # x1x2 + x3x4 on 4 variables (two bytes): x1 = 1 leaves x1 + x2x3 on
+    # the remaining three, x4 = 1 leaves x1x2 + x3
+    g = mobius_inv(AnfPolynomial(4, (1 << 0b1100) | (1 << 0b0011)))
+    assert g.restrict(1, 1) == mobius_inv(AnfPolynomial(3, (1 << 0b100) | (1 << 0b011)))
+    assert g.restrict(4, 1) == mobius_inv(AnfPolynomial(3, (1 << 0b110) | (1 << 0b001)))
     with pytest.raises(ValueError):
         f.restrict(3, 0)
     with pytest.raises(ValueError):
         BooleanFunction(1, [0, 1]).restrict(1, 0)
+
+
+def reference_restrict(f, j, b):
+    """The unpack, slice and repack form restrict had before it cut the
+    halves out of the packed mask's bytes."""
+    block = 1 << (f.n - j)
+    sub = f.values().reshape(-1, 2 * block)[:, b * block : (b + 1) * block]
+    return BooleanFunction(f.n - 1, sub.reshape(-1))
+
+
+@pytest.mark.parametrize("n", [*range(2, 13), 20])
+def test_restrict_agrees_with_the_unpack_form(n):
+    # every (j, b) up to n = 12 (tables of one byte at n <= 3, the nibble
+    # tables at the last three coordinates, byte runs before them)
+    rng = XorShift64Star(1200 + n)
+    functions = [rng.bits(1 << n) for _ in range(2)] + [0, (1 << (1 << n)) - 1]
+    coordinates = [1, 17, 18, 19, 20] if n == 20 else range(1, n + 1)
+    for mask in functions:
+        f = BooleanFunction(n, mask)
+        for j in coordinates:
+            for b in (0, 1):
+                assert f.restrict(j, b) == reference_restrict(f, j, b), (n, j, b)
 
 
 def test_derivative_examples():
@@ -426,6 +479,25 @@ def test_derivative_examples():
     # derivative of a linear function is the constant mask.a
     want = BooleanFunction.constant(4, 1)  # (1,1,0,0).(1,0,1,0) = 1
     assert lin.derivative(a) == want
+
+
+def reference_translate(f, a):
+    """x -> f(x xor a) through an index array over the unpacked table, as
+    translate did before it swapped halves of the packed int."""
+    idx = np.arange(1 << f.n, dtype=np.intp)
+    return BooleanFunction(f.n, f.values()[idx ^ a])
+
+
+def test_translate_agrees_with_the_index_form():
+    # every a up to n = 6, seeded a at n = 7..16; derivative follows
+    rng = XorShift64Star(1607)
+    cases = [(n, a) for n in range(1, 7) for a in range(1 << n)]
+    cases += [(n, rng.bits(n)) for n in range(7, 17) for _ in range(3)]
+    for n, a in cases:
+        f = random_function(n, rng)
+        want = reference_translate(f, a)
+        assert f.translate(a) == want, (n, a)
+        assert f.derivative(a) == f ^ want, (n, a)
 
 
 def test_combine_translate_trivialities():

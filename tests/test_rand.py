@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bentkit import is_bent, resiliency_report
+from bentkit import BooleanFunction, is_bent, resiliency_report, rand
 from bentkit.rand import (
     XorShift64Star,
     random_balanced,
@@ -53,6 +53,115 @@ def test_bits_agrees_with_the_word_loop(seed, k):
     fast, slow = XorShift64Star(seed), XorShift64Star(seed)
     assert fast.bits(k) == reference_bits(slow, k)
     assert fast.state == slow.state  # the same words were drawn
+
+
+class ReferenceXorShift64Star:
+    """The generator as it was before randrange and shuffle ran the
+    xorshift64* step inline: every word comes from bits and next_u64."""
+
+    def __init__(self, seed):
+        self.state = seed & ((1 << 64) - 1) or 0x9E3779B97F4A7C15
+
+    def next_u64(self):
+        x = self.state
+        x ^= x >> 12
+        x ^= (x << 25) & ((1 << 64) - 1)
+        x ^= x >> 27
+        self.state = x
+        return (x * 0x2545F4914F6CDD1D) & ((1 << 64) - 1)
+
+    def bits(self, k):
+        if k <= 64:
+            return self.next_u64() >> (64 - k) if k else 0
+        return reference_bits(self, k)
+
+    def randrange(self, n):
+        if n <= 0:
+            raise ValueError("empty range")
+        k = (n - 1).bit_length()
+        while True:
+            v = self.bits(k)
+            if v < n:
+                return v
+
+    def randint(self, lo, hi):
+        return lo + self.randrange(hi - lo + 1)
+
+    def choice(self, seq):
+        return seq[self.randrange(len(seq))]
+
+    def shuffle(self, items):
+        for i in range(len(items) - 1, 0, -1):
+            j = self.randrange(i + 1)
+            items[i], items[j] = items[j], items[i]
+
+
+RANGES = [1, 2, 3, 1 << 64, (1 << 64) + 1] + [
+    (1 << k) + d for k in (1, 2, 5, 8, 31, 32, 63) for d in (0, 1)
+]
+
+
+def _draws(rng, n, length):
+    """Values of each inline draw, in one fixed order."""
+    out = [rng.randrange(n) for _ in range(4)]
+    out += [rng.randint(-7, n - 8) for _ in range(3)]
+    items = list(range(length))
+    if items:
+        out += [rng.choice(items) for _ in range(3)]
+    rng.shuffle(items)
+    return out + items
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, (1 << 64) - 1),
+    n=st.sampled_from(RANGES),
+    length=st.sampled_from([0, 1, 2, 17, 64]),
+)
+def test_draws_agree_with_the_call_per_word_generator(seed, n, length):
+    fast, slow = XorShift64Star(seed), ReferenceXorShift64Star(seed)
+    assert _draws(fast, n, length) == _draws(slow, n, length)
+    assert fast.state == slow.state  # the same words were drawn
+
+
+def reference_resilient_triple(n, t, rng):
+    """The rejection loop as it was before the balance pre-check: every
+    attempt's XOR goes through resiliency_report."""
+    for _ in range(rand._TRIPLE_TRIES):
+        f1 = random_resilient(n, t, rng)
+        f2 = random_resilient(n, t, rng)
+        f3 = random_resilient(n, t, rng)
+        if resiliency_report(f1 ^ f2 ^ f3).resiliency >= t:
+            return f1, f2, f3
+    while True:
+        masks = [rng.bits(n) for _ in range(3)]
+        if all(m.bit_count() >= t + 1 for m in masks) and (
+            masks[0] ^ masks[1] ^ masks[2]
+        ).bit_count() >= t + 1:
+            return tuple(BooleanFunction.linear(n, m, rng.bits(1)) for m in masks)
+
+
+def _triple_outcome(draw, n, t, seed):
+    rng = XorShift64Star(seed)
+    try:
+        got = [(f.n, f.mask) for f in draw(n, t, rng)]
+    except ValueError as exc:
+        got = str(exc)
+    return got, rng.state
+
+
+# 0 tries goes straight to the affine fallback, 1 reaches it whenever the
+# first attempt is rejected.  With t >= n the first draw raises; the
+# fallback alone would search forever for masks of weight > n.
+@pytest.mark.parametrize("n, t, tries", [
+    (n, t, tries) for n in range(2, 7) for t in (-1, 0, 1, 2) for tries in (0, 1, 400)
+    if tries or t < n
+])
+def test_resilient_triple_agrees_with_the_report_loop(monkeypatch, n, t, tries):
+    monkeypatch.setattr(rand, "_TRIPLE_TRIES", tries)
+    for seed in range(6):
+        want = _triple_outcome(reference_resilient_triple, n, t, seed)
+        assert _triple_outcome(random_resilient_triple, n, t, seed) == want
 
 
 def test_shuffle_is_a_permutation():
