@@ -300,34 +300,26 @@ def indirect_sum(
     return _two_block(f1, g1, (f1 ^ f2, g1 ^ g2))
 
 
-def _with_fresh_product(a: BooleanFunction, b: BooleanFunction) -> BooleanFunction:
-    """a(x) + b(x) z on n+1 variables, the fresh z appended after x_n."""
-    return _two_block(a, BooleanFunction.zero(1), (b, BooleanFunction.variable(1, 1)))
-
-
-def _rothaus_halves(
+def _rothaus_table(
     f1: BooleanFunction, f2: BooleanFunction, f3: BooleanFunction
-) -> tuple[BooleanFunction, BooleanFunction]:
-    """The Rothaus extension maj(f1, f2, f3) + (f1+f2) y + (f1+f3) z + y z
-    split at its last fresh variable z: the half h0 (z = 0) is
-    maj + (f1+f2) y and the half h1 (z = 1) is h0 + (f1+f3) + y."""
+) -> BooleanFunction:
+    """rothaus without its premise checks: one table over the block (y, z)."""
+    y, z = BooleanFunction.variable(2, 1), BooleanFunction.variable(2, 2)
     maj = (f1 & f2) ^ (f1 & f3) ^ (f2 & f3)
-    h0 = _with_fresh_product(maj, f1 ^ f2)
-    return h0, _with_fresh_product(maj ^ f1 ^ f3, ~(f1 ^ f2))
+    return _two_block(maj, y & z, (f1 ^ f2, y), (f1 ^ f3, z))
 
 
 def rothaus(
     f1: BooleanFunction, f2: BooleanFunction, f3: BooleanFunction
 ) -> BooleanFunction:
-    """The classical three-function extension to n+2 variables; the two
-    fresh variables are appended after x_n.  All four bentness premises
-    (f1, f2, f3 and their XOR) are checked eagerly."""
+    """The classical extension maj(f1, f2, f3) + (f1+f2) y + (f1+f3) z + y z
+    to n+2 variables, the fresh y, z appended after x_n.  All four bentness
+    premises (f1, f2, f3 and their XOR) are checked eagerly."""
     if not (f1.n == f2.n == f3.n):
         raise ValueError("the three inputs must share a variable count")
     check_total(f1.n + 2)
     _require_bent(*_with_xor("f", f1, f2, f3))
-    h0, h1 = _rothaus_halves(f1, f2, f3)
-    return _with_fresh_product(h0, h0 ^ h1)
+    return _rothaus_table(f1, f2, f3)
 
 
 # -- the restricted indirect sum -----------------------------------------
@@ -411,8 +403,9 @@ def _trace_hyperplane_split(
     Tr(a x + b y) = 0 and to its shifted coset, in matching coordinates.
 
     The hyperplane basis comes from Gaussian elimination on the linear
-    form with the lexicographically first pivot; the coset uses the
-    given shift, whose trace value must be 1.
+    form with the lexicographically first pivot: each half is read in the
+    other variables with x_pivot set to the rest of the form, then cut by
+    restrict.  The coset uses the given shift, whose trace value must be 1.
     """
     m = field.m
     n = 2 * m
@@ -425,30 +418,20 @@ def _trace_hyperplane_split(
     # vector of the linear form: component for variable j via unit points
     lam = 0
     for j in range(1, m + 1):
-        e = 1 << (j - 1)
-        lam |= field.trace(field.mul(a, e)) << (n - j)
-        lam |= field.trace(field.mul(b, e)) << (n - (m + j))
+        unit = 1 << (j - 1)
+        lam |= field.trace(field.mul(a, unit)) << (n - j)
+        lam |= field.trace(field.mul(b, unit)) << (n - (m + j))
     pivot = next(j for j in range(1, n + 1) if (lam >> (n - j)) & 1)
-    basis = []
-    for j in range(1, n + 1):
-        if j == pivot:
-            continue
-        vec = 1 << (n - j)
-        if (lam >> (n - j)) & 1:
-            vec ^= 1 << (n - pivot)
-        basis.append(vec)
-    size = 1 << (n - 1)
-    pts = np.zeros(size, dtype=np.int64)
-    t = np.arange(size)
-    for pos, vec in enumerate(basis):  # basis[pos] belongs to t_(pos+1)
-        pts[((t >> (n - 2 - pos)) & 1) == 1] ^= vec
+    e = 1 << (n - pivot)
+    rest = BooleanFunction.linear(n, lam ^ e)  # the form without x_pivot
+
+    def half(g: BooleanFunction) -> BooleanFunction:
+        # g read at x_pivot = rest(x): flip x_pivot where rest is 1, then cut
+        return (g ^ (rest & g.derivative(e))).restrict(pivot, 0)
+
     # the shift point: alpha on the x block, beta on the y block
     sidx = (field.reverse_bits(alpha) << m) | field.reverse_bits(beta)
-    vals = f.values()
-    return (
-        BooleanFunction(n - 1, vals[pts]),
-        BooleanFunction(n - 1, vals[pts ^ sidx]),
-    )
+    return half(f), half(f.translate(sidx))
 
 
 def psap_restricted_sum(
@@ -480,11 +463,12 @@ def rothaus_restricted_sum(
     g3: BooleanFunction,
 ) -> BooleanFunction:
     """Combine two Rothaus extensions into n+m+2 variables: the indirect
-    sum of their halves at the last fresh variable, bit-identical to
-    restricted_indirect_sum of the two extensions at that variable."""
+    sum of their halves at the last fresh variable z, bit-identical to
+    restricted_indirect_sum of the two extensions, all eight premises first."""
     check_total(f1.n + g1.n + 2)
     _require_bent(*_with_xor("f", f1, f2, f3), *_with_xor("g", g1, g2, g3))
-    return indirect_sum(*_rothaus_halves(f1, f2, f3), *_rothaus_halves(g1, g2, g3))
+    f, g = _rothaus_table(f1, f2, f3), _rothaus_table(g1, g2, g3)
+    return indirect_sum(*_halves(f, f.n), *_halves(g, g.n))
 
 
 def class_d_restricted_sum(
@@ -498,12 +482,13 @@ def class_d_restricted_sum(
     rho: int,
 ) -> BooleanFunction:
     """Restricted indirect sum of two class-D bent functions at affine
-    coordinates mu and rho (composition route)."""
+    coordinates mu and rho; class_d_bent checks the premise that makes
+    each bent, so no Walsh transform is run."""
     check_total(2 * phi.k + 2 * psi.k - 2)
     _check_coordinates(mu, phi.k, rho, psi.k)
     f = class_d_bent(phi, e1, e2)
     g = class_d_bent(psi, xi1, xi2)
-    return restricted_indirect_sum(f, mu, g, rho, "00")
+    return indirect_sum(*_halves(f, mu), *_halves(g, rho))
 
 
 # -- generalized indirect sum and the bent-triple routes ------------------
@@ -633,7 +618,10 @@ def walsh_case(triple: BentTriple, alpha) -> tuple[int, str]:
 
 @dataclass
 class ResilientSumCertificate:
-    """Verified facts about a resilient generalized-indirect-sum output."""
+    """A resilient route's statement about its output: nonlinearity is
+    computed from the output table, resiliency is the premise order k,
+    nonlinearity_bound comes from the seeds' spectra, and
+    equality_condition is the paper's stated condition, not a fact."""
 
     resiliency: int
     nonlinearity: int
@@ -675,9 +663,10 @@ def resilient_indirect_sum(
     k-resilient functions (k-resilient XOR required), k < m-1.
 
     The output is k-resilient with nonlinearity at least
-    2^(n+m-1) - 2^(n/2-1) * max over the four g spectra maxima; the
-    bound is attained exactly when the triple members are pairwise
-    distinct up to complement.
+    2^(n+m-1) - 2^(n/2-1) * max over the four g spectra maxima, a lower
+    bound only: equality_condition reports the paper's stated condition
+    for equality, the triple members pairwise distinct up to complement,
+    but the bound can be strict when it holds and attained when it fails.
     """
     check_total(triple.n + g1.n)
     if not triple.certified:
@@ -706,8 +695,10 @@ def resilient_indirect_sum_from_pair(
 
     Sign patterns (1)/(3) take (p, q, q+y_i); patterns (2)/(4) take
     (p+y_i, q+y_i, q).  The output is k-resilient with nonlinearity at
-    least 2^(n+m-1) - 2^(n/2-1) * max(max|W_p|, max|W_q|), attained
-    exactly when f1 = f2 = f3 fails.
+    least 2^(n+m-1) - 2^(n/2-1) * max(max|W_p|, max|W_q|), a lower bound
+    only: equality_condition reports the paper's stated condition for
+    equality, that f1 = f2 = f3 fails, but the bound can be strict when
+    it holds and attained when it fails.
     """
     check_total(triple.n + p.n)
     if not triple.certified:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from bentkit import (
@@ -47,6 +48,7 @@ from bentkit.rand import (
     random_mm_bent,
     random_mm_bent_triple,
     random_permutation,
+    random_resilient,
     random_resilient_triple,
 )
 
@@ -349,6 +351,116 @@ def test_psap_split_complementary_plateaued():
     f = psap_bent(gf, theta)
     f0, f1 = _trace_hyperplane_split(f, gf, (1, 2), (5, 0))
     assert complementary_plateaued(f0, f1)
+
+
+def reference_trace_hyperplane_split(f, field, form, shift):
+    """The point-array form _trace_hyperplane_split had before it cut the
+    halves with restrict: the 2^(n-1) points of the Gaussian-elimination
+    basis (lexicographically first pivot), gathered from the unpacked
+    table at each point and at each point plus the shift."""
+    m, n = field.m, 2 * field.m
+    a, b = form
+    lam = 0
+    for j in range(1, m + 1):
+        e = 1 << (j - 1)
+        lam |= field.trace(field.mul(a, e)) << (n - j)
+        lam |= field.trace(field.mul(b, e)) << (n - (m + j))
+    pivot = next(j for j in range(1, n + 1) if (lam >> (n - j)) & 1)
+    basis = []
+    for j in range(1, n + 1):
+        if j == pivot:
+            continue
+        vec = 1 << (n - j)
+        if (lam >> (n - j)) & 1:
+            vec ^= 1 << (n - pivot)
+        basis.append(vec)
+    size = 1 << (n - 1)
+    pts = np.zeros(size, dtype=np.int64)
+    t = np.arange(size)
+    for pos, vec in enumerate(basis):  # basis[pos] belongs to t_(pos+1)
+        pts[((t >> (n - 2 - pos)) & 1) == 1] ^= vec
+    alpha, beta = shift
+    sidx = (field.reverse_bits(alpha) << m) | field.reverse_bits(beta)
+    vals = f.values()
+    return (
+        BooleanFunction(n - 1, vals[pts]),
+        BooleanFunction(n - 1, vals[pts ^ sidx]),
+    )
+
+
+def _trace_one_shift(field, form, rng):
+    """A seeded shift (alpha, beta) with Tr(a alpha + b beta) = 1: a
+    random pair, moved by a unit of the form's nonzero block if its trace
+    is 0, as the trace is linear."""
+    a, b = form
+    alpha, beta = rng.randrange(field.order), rng.randrange(field.order)
+    if field.trace(field.mul(a, alpha) ^ field.mul(b, beta)) == 0:
+        unit = next(
+            u for u in range(1, field.order) if field.trace(field.mul(a or b, u))
+        )
+        if a:
+            alpha ^= unit
+        else:
+            beta ^= unit
+    return alpha, beta
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_trace_hyperplane_split_agrees_with_the_point_array_form(m):
+    # every nonzero form up to m = 4, seeded forms after it (a = 0 puts
+    # the pivot in the y block); the halves of a random function, so
+    # every table bit is read
+    from bentkit.constructions import _trace_hyperplane_split
+
+    gf = GaloisField(m)
+    rng = XorShift64Star(1700 + m)
+    f = random_function(2 * m, rng)
+    if m <= 4:
+        forms = [(a, b) for a in range(gf.order) for b in range(gf.order) if a or b]
+    else:
+        forms = [(0, 1 + rng.randrange(gf.order - 1)), (1 + rng.randrange(gf.order - 1), 0)]
+        forms += [(1 + rng.randrange(gf.order - 1), rng.randrange(gf.order)) for _ in range(4)]
+    for form in forms:
+        shift = _trace_one_shift(gf, form, rng)
+        got = _trace_hyperplane_split(f, gf, form, shift)
+        assert got == reference_trace_hyperplane_split(f, gf, form, shift), (m, form, shift)
+
+
+def reference_rothaus_halves(f1, f2, f3):
+    """The halves at the last fresh variable z that the Rothaus extension
+    was built from before it became one two-block table: h0 (z = 0) is
+    maj + (f1+f2) y and h1 (z = 1) is h0 + (f1+f3) + y, each with its
+    fresh variable appended by a two-block table of its own."""
+    def with_fresh_product(a, b):  # a(x) + b(x) y, y appended after x_n
+        return _two_block(a, BooleanFunction.zero(1), (b, BooleanFunction.variable(1, 1)))
+
+    maj = (f1 & f2) ^ (f1 & f3) ^ (f2 & f3)
+    h0 = with_fresh_product(maj, f1 ^ f2)
+    h1 = with_fresh_product(maj ^ f1 ^ f3, ~(f1 ^ f2))
+    return h0, h1, with_fresh_product(h0, h0 ^ h1)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+def test_rothaus_routes_agree_with_the_halves_form(n):
+    rng = XorShift64Star(1800 + n)
+    for _ in range(3):
+        fs = random_mm_bent_triple(n, rng)
+        gs = random_mm_bent_triple(2 * (1 + rng.randrange(3)), rng)
+        f0, f1, extension = reference_rothaus_halves(*fs)
+        g0, g1, _ = reference_rothaus_halves(*gs)
+        assert rothaus(*fs) == extension
+        assert rothaus_restricted_sum(*fs, *gs) == indirect_sum(f0, f1, g0, g1)
+
+
+def test_rothaus_restricted_sum_names_the_first_failed_premise():
+    # all eight premises are checked, f side first, each under its own name
+    rng = XorShift64Star(1811)
+    fs, gs = random_mm_bent_triple(4, rng), random_mm_bent_triple(4, rng)
+    flat = BooleanFunction.zero(4)
+    with pytest.raises(PremiseError, match="^g1 must be bent$"):
+        rothaus_restricted_sum(*fs, flat, *gs[1:])
+    with pytest.raises(PremiseError, match="^f3 must be bent$"):
+        rothaus_restricted_sum(*fs[:2], flat, flat, *gs[1:])
 
 
 def test_rothaus_collapse_and_premises():
@@ -744,6 +856,53 @@ def test_resilient_pair_equal_triple_strict_inequality():
     h, cert = resilient_indirect_sum_from_pair(triple, p, q, 1, 1)
     assert not cert.equality_condition
     assert cert.nonlinearity > cert.nonlinearity_bound
+
+
+def _seeded_resilient_sum(route, seed, n, m, k, triple_kind):
+    """One seeded resilient sum: a "derivative", "mm" or "repeated"
+    (f, f, f) bent triple on n variables, then the k-resilient g seeds on
+    m variables, drawn from one generator."""
+    rng = XorShift64Star(seed)
+    if triple_kind == "derivative":
+        triple, _ = random_derivative_triple(n, rng)
+    elif triple_kind == "mm":
+        triple = BentTriple.certify(*random_mm_bent_triple(n, rng))
+    else:
+        f = random_mm_bent(n, rng)
+        triple = BentTriple.certify(f, f, f)
+    if route == "triple":
+        return resilient_indirect_sum(triple, *random_resilient_triple(m, k, rng), k)
+    p, q = random_resilient(m, k, rng), random_resilient(m, k, rng)
+    return resilient_indirect_sum_from_pair(triple, p, q, 1 + rng.randrange(m), k)
+
+
+# (route, seed, n, m, k, triple kind, equality_condition, nl, bound)
+@pytest.mark.parametrize("case", [
+    ("triple", 1, 4, 5, 0, "derivative", True, 232, 224),
+    ("triple", 1, 2, 4, 0, "derivative", False, 24, 24),
+    ("pair", 2, 2, 6, 0, "mm", True, 108, 104),
+    ("pair", 1, 2, 4, 0, "repeated", False, 24, 24),
+])
+def test_resilient_equality_condition_is_neither_necessary_nor_sufficient(case):
+    # the stated condition can hold with the bound strict and fail with
+    # the bound attained, on both routes: the bound is a lower bound only
+    *args, condition, nl, bound = case
+    h, cert = _seeded_resilient_sum(*args)
+    assert cert.equality_condition == condition
+    assert (cert.nonlinearity, cert.nonlinearity_bound) == (nl, bound)
+    # second opinion on the nonlinearity: the matrix Walsh transform
+    assert (1 << (h.n - 1)) - naive_walsh(h).max_abs // 2 == nl
+
+
+def test_resilient_sum_nonlinearity_meets_its_bound():
+    rng = XorShift64Star(2026)
+    for route in ("triple", "pair"):
+        for kind in ("derivative", "mm", "repeated"):
+            for n, m in ((2, 4), (2, 5), (4, 4), (4, 5)):
+                for k in range(m - 2):
+                    where = (route, kind, n, m, k)
+                    _, cert = _seeded_resilient_sum(route, rng.bits(16), n, m, k, kind)
+                    assert cert.nonlinearity >= cert.nonlinearity_bound, where
 
 
 def test_resilient_routes_premise_errors():

@@ -3,6 +3,7 @@ its OpenBLAS thread default."""
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -109,3 +110,24 @@ def test_readme_library_tour_runs():
     readme = (ROOT / "README.md").read_text()
     tour = readme.split("```python\n", 1)[1].split("```", 1)[0]
     python(tour)
+
+
+def test_readme_build_table_matches_the_build_registry():
+    # README's `build` table against cli._BUILDS: the truth-table flags,
+    # and the keys and options it marks in bold as required
+    from bentkit.cli import _BUILDS
+
+    readme = (ROOT / "README.md").read_text()
+    header = "| construction | truth-table flags | `--param-file` keys | other options |"
+    rows = readme.split(header, 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    bold = re.compile(r"\*\*`([^`]+)`\*\*")
+    table = {}
+    for row in rows:
+        name, flags, keys, options = (cell.strip() for cell in row.strip("|").split("|"))
+        table[name.strip("`")] = (
+            tuple(re.findall(r"`--(\w+)`", flags)),
+            tuple(bold.findall(keys)),
+            tuple(option.removeprefix("--") for option in bold.findall(options)),
+        )
+    assert len(table) == 14
+    assert table == {name: entry[1:] for name, entry in _BUILDS.items()}
