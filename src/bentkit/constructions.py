@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import dual, is_bent, nonlinearity, resiliency_report, walsh_transform
-from .core import MAX_VARS, BooleanFunction, _mask_bytes
+from .core import MAX_VARS, BooleanFunction, _mask_bytes, _table_bytes
 from .errors import PremiseError
 from .galois import GaloisField
 
@@ -263,27 +263,43 @@ def class_d_e1(phi: PermutationMap, e2: LinearSubspace) -> LinearSubspace:
 # -- classical secondary builders ----------------------------------------
 
 
+# _WIDEN[b][v] is byte v with each bit repeated b times, held as one
+# little-endian b-byte word: eight table rows of b bits each.
+_WIDEN = {
+    b: np.packbits(
+        np.unpackbits(np.arange(256, dtype=np.uint8), bitorder="little").repeat(b),
+        bitorder="little",
+    ).view(f"<u{b}")
+    for b in (2, 4, 8)
+}
+
+
 def _two_block(
     fa: BooleanFunction,
     gb: BooleanFunction,
     *products: tuple[BooleanFunction, BooleanFunction],
 ) -> BooleanFunction:
     """fa(x) + gb(y) + the sum of p(x) q(y) over the (p, q) products, with
-    the block layout.  With 3 or more y variables the row of each x is
-    whole bytes of the packed table: gb's bytes complemented where
-    fa(x) = 1, XOR q's bytes where p(x) = 1 for each product.  Rows of 1
-    or 2 variables are built bit by bit."""
-    check_total(fa.n + gb.n)
-    if gb.n < 3:
-        table = np.bitwise_xor.outer(fa.values(), gb.values())
-        for p, q in products:
-            table ^= np.bitwise_and.outer(p.values(), q.values())
-        return BooleanFunction(fa.n + gb.n, table.reshape(-1))
-    ones = np.uint8(0xFF)
-    rows = np.bitwise_xor.outer(fa.values() * ones, _mask_bytes(gb.mask, gb.n))
+    the block layout, built a byte at a time.  Row x of the packed table is
+    b = min(2^m, 8) bits of a byte, or 2^(m-3) whole bytes (m = gb.n): a
+    function of x gives each row its bit, repeated b times through _WIDEN,
+    and a function of y its bytes, repeated to fill a byte when shorter."""
+    n = fa.n + gb.n
+    check_total(n)
+    b = min(1 << gb.n, 8)
+    fill = ((1 << min(1 << n, 8)) - 1) // ((1 << b) - 1)
+
+    def column(f: BooleanFunction) -> np.ndarray:
+        return _WIDEN[b][_mask_bytes(f.mask, f.n)].view(np.uint8)
+
+    def row(g: BooleanFunction) -> np.ndarray:
+        return _mask_bytes(g.mask * fill, g.n)
+
+    rows = np.bitwise_xor.outer(column(fa), row(gb))
     for p, q in products:
-        rows ^= np.bitwise_and.outer(p.values() * ones, _mask_bytes(q.mask, q.n))
-    return BooleanFunction(fa.n + gb.n, int.from_bytes(rows.tobytes(), "little"))
+        rows ^= np.bitwise_and.outer(column(p), row(q))
+    table = rows.reshape(-1)[: _table_bytes(n)].tobytes()
+    return BooleanFunction(n, int.from_bytes(table, "little"))
 
 
 def direct_sum(f: BooleanFunction, g: BooleanFunction) -> BooleanFunction:

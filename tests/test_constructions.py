@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -214,7 +216,8 @@ def test_indirect_sum_bent_with_dual_formula():
 @pytest.mark.parametrize("ny", range(1, 6))
 @pytest.mark.parametrize("nx", range(1, 7))
 def test_indirect_tables_match_the_bit_formula(nx, ny):
-    # y blocks of 3 or more variables take the byte-row path, 1 and 2 the bit path
+    # every y block takes the byte layout: 1 and 2 variables share a byte
+    # between rows, 3 or more give each row whole bytes
     rng = XorShift64Star(100 * nx + ny)
     for count in (0, 1, 2) * 2:  # direct, indirect and generalized indirect sums
         fa, gb = random_function(nx, rng), random_function(ny, rng)
@@ -228,6 +231,22 @@ def test_indirect_tables_match_the_bit_formula(nx, ny):
                 for p, q in products:
                     want ^= p.bit(x) & q.bit(y)
                 assert h.bit((x << ny) | y) == want, (x, y, count)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_two_block_allocates_a_few_packed_tables(m):
+    # the rows, their bytes and the packed int are each 1/8 byte per entry;
+    # no block size may unpack one uint8 per entry
+    rng = XorShift64Star(22 + m)
+    fa, p = random_function(22 - m, rng), random_function(22 - m, rng)
+    gb, q = random_function(m, rng), random_function(m, rng)
+    tracemalloc.start()
+    try:
+        _two_block(fa, gb, (p, q))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * (1 << 22), peak / (1 << 22)
 
 
 # -- restricted indirect sum --------------------------------------------------
@@ -861,7 +880,8 @@ def test_resilient_pair_equal_triple_strict_inequality():
 def _seeded_resilient_sum(route, seed, n, m, k, triple_kind):
     """One seeded resilient sum: a "derivative", "mm" or "repeated"
     (f, f, f) bent triple on n variables, then the k-resilient g seeds on
-    m variables, drawn from one generator."""
+    m variables, drawn from one generator.  Returns the output, its
+    certificate, the triple and the (g1, g2, g3) the sum was taken with."""
     rng = XorShift64Star(seed)
     if triple_kind == "derivative":
         triple, _ = random_derivative_triple(n, rng)
@@ -871,9 +891,14 @@ def _seeded_resilient_sum(route, seed, n, m, k, triple_kind):
         f = random_mm_bent(n, rng)
         triple = BentTriple.certify(f, f, f)
     if route == "triple":
-        return resilient_indirect_sum(triple, *random_resilient_triple(m, k, rng), k)
+        gs = random_resilient_triple(m, k, rng)
+        return (*resilient_indirect_sum(triple, *gs, k), triple, gs)
     p, q = random_resilient(m, k, rng), random_resilient(m, k, rng)
-    return resilient_indirect_sum_from_pair(triple, p, q, 1 + rng.randrange(m), k)
+    i = 1 + rng.randrange(m)
+    # the pair route's documented assignment, by the sign case at 0
+    yi = BooleanFunction.variable(m, i)
+    gs = (p, q, q ^ yi) if walsh_case(triple, 0)[0] in (1, 3) else (p ^ yi, q ^ yi, q)
+    return (*resilient_indirect_sum_from_pair(triple, p, q, i, k), triple, gs)
 
 
 # (route, seed, n, m, k, triple kind, equality_condition, nl, bound)
@@ -887,7 +912,7 @@ def test_resilient_equality_condition_is_neither_necessary_nor_sufficient(case):
     # the stated condition can hold with the bound strict and fail with
     # the bound attained, on both routes: the bound is a lower bound only
     *args, condition, nl, bound = case
-    h, cert = _seeded_resilient_sum(*args)
+    h, cert, _, _ = _seeded_resilient_sum(*args)
     assert cert.equality_condition == condition
     assert (cert.nonlinearity, cert.nonlinearity_bound) == (nl, bound)
     # second opinion on the nonlinearity: the matrix Walsh transform
@@ -901,8 +926,41 @@ def test_resilient_sum_nonlinearity_meets_its_bound():
             for n, m in ((2, 4), (2, 5), (4, 4), (4, 5)):
                 for k in range(m - 2):
                     where = (route, kind, n, m, k)
-                    _, cert = _seeded_resilient_sum(route, rng.bits(16), n, m, k, kind)
+                    seed = rng.bits(16)
+                    _, cert, _, _ = _seeded_resilient_sum(route, seed, n, m, k, kind)
                     assert cert.nonlinearity >= cert.nonlinearity_bound, where
+
+
+def _exact_nonlinearity(triple, gs):
+    """README's formula: 2^(n+m-1) - 2^(n/2-1) times the largest max|W_{g_c}|
+    over the sign cases c that walsh_case realizes on the triple."""
+    g1, g2, g3 = gs
+    g_of_case = {1: g1, 2: g1 ^ g2 ^ g3, 3: g2, 4: g3}
+    cases = {walsh_case(triple, alpha)[0] for alpha in range(1 << triple.n)}
+    amplitude = max(walsh_transform(g_of_case[c]).max_abs for c in cases)
+    return (1 << (triple.n + g1.n - 1)) - (1 << (triple.n // 2 - 1)) * amplitude
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_resilient_sum_nonlinearity_formula_on_seeded_instances(n):
+    rng = XorShift64Star(0x4E1 + n)
+    strict = 0
+    for m in (4, 5, 6):
+        for route in ("triple", "pair"):
+            for kind in ("derivative", "mm", "repeated"):
+                for _ in range(6):
+                    k = rng.randrange(m - 2)
+                    where = (route, kind, m, k)
+                    h, cert, triple, gs = _seeded_resilient_sum(
+                        route, rng.bits(16), n, m, k, kind
+                    )
+                    assert h == generalized_indirect_sum(
+                        triple.f1, triple.f2, triple.f3, *gs
+                    ), where
+                    assert nonlinearity(h) == cert.nonlinearity, where
+                    assert cert.nonlinearity == _exact_nonlinearity(triple, gs), where
+                    strict += cert.nonlinearity > cert.nonlinearity_bound
+    assert strict  # the sweep reaches the cases where the bound is strict
 
 
 def test_resilient_routes_premise_errors():

@@ -106,6 +106,14 @@ def test_project_script_target_is_callable():
         assert callable(getattr(importlib.import_module(module), attr))
 
 
+def test_package_version_is_the_project_version():
+    # one version string, so a record that names bentkit.__version__
+    # names the release pyproject.toml builds
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert bentkit.__version__ == project["version"]
+
+
 def test_readme_library_tour_runs():
     readme = (ROOT / "README.md").read_text()
     tour = readme.split("```python\n", 1)[1].split("```", 1)[0]
