@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import MAX_VARS, BooleanFunction, degree, walsh_transform
+from .core import MAX_VARS, BooleanFunction, _coordinate_mask, degree, walsh_transform
 from .errors import PremiseError
 
 
@@ -78,6 +78,29 @@ def resiliency_report(f: BooleanFunction) -> ResiliencyReport:
             break
     ci = least - 1
     return ResiliencyReport(ci, ci if int(spec[0]) == 0 else -1)
+
+
+def is_resilient(f: BooleanFunction, order: int) -> bool:
+    """Whether f is order-resilient, as resiliency_report(f).resiliency >=
+    order, with orders up to 1 decided from table weights alone.
+
+    W_f(w) = 2^n - 2 wt(f + w.x), so W_f(w) = 0 iff f + w.x is balanced.
+    Order 0 asks W_f(0) = 0, a balanced f; order 1 asks the same of the n
+    functions f + x_j as well (Xiao-Massey).  Only an order of 2 or more,
+    after both weight tests pass, computes the spectrum.  Every order
+    below 0 holds.
+    """
+    if order < 0:
+        return True
+    if not f.is_balanced:
+        return False
+    if order == 0:
+        return True
+    n, half = f.n, 1 << (f.n - 1)
+    for s in range(n):
+        if (f.mask ^ _coordinate_mask(n, s)).bit_count() != half:
+            return False
+    return order == 1 or resiliency_report(f).resiliency >= order
 
 
 def plateaued_order(f: BooleanFunction) -> Optional[int]:

@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import dual, is_bent, nonlinearity, resiliency_report, walsh_transform
-from .core import MAX_VARS, BooleanFunction, _mask_bytes, _table_bytes
+from .analysis import dual, is_bent, is_resilient, nonlinearity, walsh_transform
+from .core import MAX_VARS, BooleanFunction, _mask_bytes, _pack_bits, _table_bytes
 from .errors import PremiseError
 from .galois import GaloisField
 
@@ -42,11 +42,13 @@ def _require_bent(*named: tuple[str, BooleanFunction]) -> None:
 
 def _require_resilient(order: int, *named: tuple[str, BooleanFunction]) -> None:
     """Raise PremiseError at the first (name, function) not order-resilient;
-    an order below -1, the resiliency of every function, is a bad parameter."""
+    an order below -1, the resiliency of every function, is a bad parameter.
+    Orders 0 and 1 are decided from table weights (see is_resilient); only
+    an order of 2 or more computes a premise's spectrum."""
     if order < -1:
         raise PremiseError(f"resiliency order {order} is below -1")
     for name, fn in named:
-        if resiliency_report(fn).resiliency < order:
+        if not is_resilient(fn, order):
             raise PremiseError(f"{name} is not {order}-resilient")
 
 
@@ -204,7 +206,7 @@ def mm_function(
     table = np.bitwise_count(np.bitwise_and.outer(x, imgs))
     table &= 1
     table ^= u.values()
-    return BooleanFunction(phi.r + phi.k, table.reshape(-1))
+    return BooleanFunction(phi.r + phi.k, _pack_bits(table.reshape(-1)))
 
 
 def psap_bent(field: GaloisField, theta: Sequence[int]) -> BooleanFunction:

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import is_bent, nonlinearity, resiliency_report
+from .analysis import is_bent, is_resilient, nonlinearity, resiliency_report
 from .core import BooleanFunction, WalshSpectrum, walsh_transform
 from .errors import CapError
 
@@ -158,14 +158,19 @@ def verify_nonlinearity(f: BooleanFunction) -> OracleReport:
 
 
 def verify_resiliency(f: BooleanFunction) -> OracleReport:
+    """The resiliency from the spectrum, then is_resilient(f, r) for every
+    r from -1 to n + 1, each against the definition.  Every function is
+    (-1)-resilient and none is (n+1)-resilient; a divergence at r is
+    reported as (r, fast, slow)."""
+    by_definition = [resiliency_by_definition(f, r) for r in range(f.n + 1)]
     fast = resiliency_report(f).resiliency
-    slow = -1
-    for r in range(f.n + 1):
-        if not resiliency_by_definition(f, r):
-            break
-        slow = r
+    slow = by_definition.index(False) - 1  # no function is n-resilient
     if fast != slow:
         return OracleReport("resiliency", False, (None, fast, slow))
+    for r, slow_r in enumerate([True, *by_definition, False], start=-1):
+        fast_r = is_resilient(f, r)
+        if fast_r != slow_r:
+            return OracleReport("resiliency", False, (r, fast_r, slow_r))
     return OracleReport("resiliency", True)
 
 

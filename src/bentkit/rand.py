@@ -19,7 +19,7 @@ from .constructions import (
 )
 from .core import BooleanFunction
 from .galois import GaloisField
-from .analysis import resiliency_report
+from .analysis import is_resilient
 
 _MASK64 = (1 << 64) - 1
 _MULT = 0x2545F4914F6CDD1D
@@ -111,11 +111,16 @@ def random_function(n: int, rng: XorShift64Star) -> BooleanFunction:
     return BooleanFunction(n, rng.bits(1 << n))
 
 
+# bytes.translate table: the entries 0 and 1 to the digits "0" and "1"
+_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def random_balanced(n: int, rng: XorShift64Star) -> BooleanFunction:
     half = 1 << (n - 1)
     table = [1] * half + [0] * half
     rng.shuffle(table)
-    return BooleanFunction(n, table)
+    # the last entry is the most significant digit of the packed mask
+    return BooleanFunction(n, int(bytes(table[::-1]).translate(_DIGIT), 2))
 
 
 def random_permutation(k: int, rng: XorShift64Star, fix_zero: bool = False):
@@ -196,19 +201,17 @@ def random_resilient_triple(
 ) -> tuple[BooleanFunction, BooleanFunction, BooleanFunction]:
     """Three t-resilient functions whose XOR is also t-resilient.
 
-    A resiliency of t >= 0 needs W(0) = 0, a balanced XOR, so the weight
-    of the XOR rejects an attempt before any spectrum is computed, and
-    decides t = 0 alone; only t >= 1 computes the XOR's spectrum.  Every
-    t < 0 holds (resiliency >= -1), so the first attempt is taken.
+    The XOR is tested with is_resilient: its weight rejects an attempt
+    before any spectrum is computed and decides t = 0 alone, the weights
+    of its sums with the n coordinates decide t = 1, and only t >= 2
+    computes the XOR's spectrum.  Every t < 0 holds (resiliency >= -1),
+    so the first attempt is taken.
     """
     for _ in range(_TRIPLE_TRIES):
         f1 = random_resilient(n, t, rng)
         f2 = random_resilient(n, t, rng)
         f3 = random_resilient(n, t, rng)
-        if t < 0:
-            return f1, f2, f3
-        xor = f1 ^ f2 ^ f3
-        if xor.is_balanced and (t == 0 or resiliency_report(xor).resiliency >= t):
+        if is_resilient(f1 ^ f2 ^ f3, t):
             return f1, f2, f3
     # fall back to affine masks, where the XOR condition is a one-liner
     while True:

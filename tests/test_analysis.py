@@ -23,7 +23,7 @@ from bentkit import (
     resiliency_report,
     walsh_transform,
 )
-from bentkit.analysis import ResiliencyReport, semi_bent_order
+from bentkit.analysis import ResiliencyReport, is_resilient, semi_bent_order
 from bentkit.rand import (
     XorShift64Star,
     random_bent,
@@ -98,6 +98,63 @@ def test_resiliency_unbalanced_ci_still_reported():
     # CI order is computed even without balance; resiliency stays -1
     rep = resiliency_report(BooleanFunction.constant(4, 1))
     assert rep == (4, -1)
+
+
+def _zero_or_all_ones(n: int) -> BooleanFunction:
+    """The indicator of {0, (1, ..., 1)}: W(w) is 0 at odd wt(w) and -4 at
+    even nonzero wt(w), so CI of order 1 at weight 2 (unbalanced for n >= 3)."""
+    return BooleanFunction(n, 1 | 1 << ((1 << n) - 1))
+
+
+def _assert_is_resilient_matches_report(f: BooleanFunction) -> None:
+    orders = range(-2, f.n + 2)
+    decided = [is_resilient(f, t) for t in orders]  # before the report's spectrum
+    resiliency = resiliency_report(f).resiliency
+    assert decided == [resiliency >= t for t in orders], f
+
+
+def _is_resilient_corpus(n: int, rng: XorShift64Star):
+    """Constants, linear functions of every weight, an unbalanced
+    function with W = 0 at every weight-1 point, random tables and
+    t-resilient functions for every t."""
+    yield BooleanFunction.zero(n)
+    yield BooleanFunction.constant(n, 1)
+    for w in range(n + 1):
+        mask = (1 << w) - 1  # the linear function x_(n-w+1) + ... + x_n
+        yield from (BooleanFunction.linear(n, mask, c) for c in (0, 1))
+    if n >= 3:
+        yield _zero_or_all_ones(n)
+    yield from (random_function(n, rng) for _ in range(10))
+    for t in range(n):
+        yield from (random_resilient(n, t, rng) for _ in range(3))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_is_resilient_matches_resiliency_report(n):
+    for f in _is_resilient_corpus(n, XorShift64Star(1900 + n)):
+        _assert_is_resilient_matches_report(f)  # no spectrum cached yet
+        _assert_is_resilient_matches_report(f)  # the report's spectrum cached
+
+
+def test_is_resilient_decides_orders_up_to_one_without_a_spectrum():
+    rng = XorShift64Star(1911)
+    for n in range(2, 11):
+        f = random_resilient(n, 1, rng)
+        assert is_resilient(f, 1) and is_resilient(f, 0) and is_resilient(f, -1)
+        assert f._spectrum is None
+        is_resilient(f, 2)
+        assert f._spectrum is not None
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_is_resilient_unbalanced_with_zero_weight_one_coefficients(n):
+    # every f + x_j is balanced, so W vanishes at each weight-1 point, but
+    # f is not: first-order correlation immune and not 0-resilient
+    f = _zero_or_all_ones(n)
+    assert f.weight == 2
+    assert resiliency_report(f) == (1, -1)
+    assert is_resilient(f, -1)
+    assert not is_resilient(f, 0) and not is_resilient(f, 1)
 
 
 def test_mm_resilient_8_1_112():

@@ -38,6 +38,7 @@ from bentkit import (
     walsh_case,
     walsh_transform,
 )
+from bentkit import analysis
 from bentkit.constructions import _two_block
 from bentkit.oracle import naive_walsh, resiliency_by_definition
 from bentkit.rand import (
@@ -735,6 +736,62 @@ def test_generalized_resilient_mode_rejects():
     )
     with pytest.raises(PremiseError):
         generalized_indirect_sum(*fs, *gs, mode="resilient", t=0, k=0)
+
+
+def test_generalized_resilient_mode_decides_orders_up_to_one_without_spectra(
+    monkeypatch,
+):
+    rng = XorShift64Star(74)
+    fs = random_resilient_triple(4, 1, rng)
+    gs = random_resilient_triple(3, 0, rng)
+    fs2 = random_resilient_triple(5, 2, rng)
+    reports = []
+    real_report = analysis.resiliency_report
+    monkeypatch.setattr(
+        analysis, "resiliency_report", lambda f: reports.append(f) or real_report(f)
+    )
+    h = generalized_indirect_sum(*fs, *gs, mode="resilient", t=1, k=0)
+    assert not reports  # the XORs as well: no premise took a spectrum
+    assert all(f._spectrum is None for f in (*fs, *gs))
+    assert resiliency_report(h).resiliency >= 2
+    # an order-2 premise still gets one, each of f1, f2, f3 and their XOR
+    generalized_indirect_sum(*fs2, *gs, mode="resilient", t=2, k=0)
+    assert len(reports) == 4
+    assert all(f._spectrum is not None for f in fs2)
+
+
+@pytest.mark.parametrize("t, xor_only", [
+    # three balanced linear functions with a constant XOR
+    (0, (0b001, 0b010, 0b011)),
+    # weight-2 and weight-3 masks, 1-resilient, with XOR x4: balanced,
+    # not 1-resilient
+    (1, (0b1100, 0b0110, 0b1011)),
+])
+def test_resilient_premise_error_names_the_xor_when_only_it_fails(t, xor_only):
+    n = max(m.bit_length() for m in xor_only)
+    fs = [BooleanFunction.linear(n, m) for m in xor_only]
+    gs = random_resilient_triple(3, 0, XorShift64Star(75))
+    with pytest.raises(PremiseError, match=rf"^f1\+f2\+f3 is not {t}-resilient$"):
+        generalized_indirect_sum(*fs, *gs, mode="resilient", t=t, k=0)
+    with pytest.raises(PremiseError, match=rf"^g1\+g2\+g3 is not {t}-resilient$"):
+        generalized_indirect_sum(*gs, *fs, mode="resilient", t=0, k=t)
+    if t == 0:
+        return
+    triple, _ = random_derivative_triple(2, XorShift64Star(76))
+    with pytest.raises(PremiseError, match=r"^g1\+g2\+g3 is not 1-resilient$"):
+        resilient_indirect_sum(triple, *fs, 1)
+
+
+def test_resilient_premise_error_names_the_first_failing_premise():
+    # 1-resilient linear functions of weight 2, 3 and 3, with an XOR of weight 2
+    fs = [BooleanFunction.linear(4, m) for m in (0b0011, 0b0111, 0b1110)]
+    gs = random_resilient_triple(3, 0, XorShift64Star(77))
+    generalized_indirect_sum(*fs, *gs, mode="resilient", t=1, k=0)
+    x1 = BooleanFunction.variable(4, 1)  # balanced, not 1-resilient
+    with pytest.raises(PremiseError, match=r"^f2 is not 1-resilient$"):
+        generalized_indirect_sum(fs[0], x1, x1, *gs, mode="resilient", t=1, k=0)
+    with pytest.raises(PremiseError, match=r"^f1 is not 2-resilient$"):
+        generalized_indirect_sum(*fs, *gs, mode="resilient", t=2, k=0)
 
 
 def test_generalized_bent_mode():

@@ -127,6 +127,30 @@ def test_resiliency_definition_agrees_on_balanced_corpus():
             assert resiliency_report(f).resiliency == _definition_level_resiliency(f)
 
 
+def test_verify_resiliency_checks_is_resilient_at_every_order():
+    from bentkit.rand import random_resilient
+
+    rng = XorShift64Star(322)
+    corpus = [BooleanFunction.zero(5), BooleanFunction.constant(5, 1)]
+    corpus += [BooleanFunction.linear(5, (1 << w) - 1) for w in range(6)]
+    corpus += [random_resilient(6, t, rng) for t in range(6)]
+    corpus += [random_function(n, rng) for n in range(1, 8)]
+    for f in corpus:
+        assert verify_resiliency(f).agreed, f
+
+
+def test_verify_resiliency_reports_an_is_resilient_divergence(monkeypatch):
+    # a checker that also accepts one order too many: x3 + x4 is
+    # 1-resilient, and the divergence shows at r = 2
+    from bentkit import oracle
+
+    real = oracle.is_resilient
+    monkeypatch.setattr(oracle, "is_resilient", lambda f, r: real(f, r - 1))
+    report = verify_resiliency(BooleanFunction.linear(4, 0b0011))
+    assert not report.agreed
+    assert report.first_divergence == (2, True, False)
+
+
 def test_caps():
     with pytest.raises(CapError):
         naive_walsh(BooleanFunction.zero(15))
