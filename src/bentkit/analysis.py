@@ -17,7 +17,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import MAX_VARS, BooleanFunction, _coordinate_mask, degree, walsh_transform
+from .core import (
+    MAX_VARS, BooleanFunction, _coordinate_mask, _pack_bits, degree, walsh_transform,
+)
 from .errors import PremiseError
 
 
@@ -37,7 +39,7 @@ def dual(f: BooleanFunction) -> BooleanFunction:
     """The bent dual: W_f(w) = 2^(n/2) * (-1)^dual(w).  Involution."""
     if not is_bent(f):
         raise PremiseError("dual is defined for bent functions only")
-    return BooleanFunction(f.n, (walsh_transform(f).values < 0).astype(np.uint8))
+    return BooleanFunction(f.n, _pack_bits(walsh_transform(f).values < 0))
 
 
 # resiliency_report scans the spectrum as rows of _ROW entries, _ROWS rows

@@ -295,18 +295,19 @@ def _generalized_indirect_sum(a, p, rng):
 
 
 def _resilient_indirect_sum(a, p, rng):
-    triple = constructions.BentTriple.certify(*map(_load, (a.f1, a.f2, a.f3)))
-    gs = map(_load, (a.g1, a.g2, a.g3))
-    h, cert = constructions.resilient_indirect_sum(triple, *gs, a.k)
-    return _resilient(h, cert)
+    f1, f2, f3, g1, g2, g3 = map(_load, (a.f1, a.f2, a.f3, a.g1, a.g2, a.g3))
+    constructions.check_total(f1.n + g1.n)  # before the triple's spectra
+    triple = constructions.BentTriple(f1, f2, f3)
+    return _resilient(*constructions.resilient_indirect_sum(triple, g1, g2, g3, a.k))
 
 
 def _resilient_indirect_sum_pair(a, p, rng):
-    triple = constructions.BentTriple.certify(*map(_load, (a.f1, a.f2, a.f3)))
-    h, cert = constructions.resilient_indirect_sum_from_pair(
-        triple, _load(a.p), _load(a.q), a.i, a.k
-    )
-    return _resilient(h, cert)
+    f1, f2, f3, fp, fq = map(_load, (a.f1, a.f2, a.f3, a.p, a.q))
+    constructions.check_total(f1.n + fp.n)  # before the triple's spectra
+    triple = constructions.BentTriple(f1, f2, f3)
+    return _resilient(*constructions.resilient_indirect_sum_from_pair(
+        triple, fp, fq, a.i, a.k
+    ))
 
 
 _F123, _G123 = ("f1", "f2", "f3"), ("g1", "g2", "g3")

@@ -7,7 +7,7 @@ indirect sum (indirect sum of coordinate restrictions of two bent
 functions, in n+m-2 variables) with its dual formula and base-term
 variants, the specializations of that construction to M-M / PS_ap /
 class D inputs, and the generalized indirect sum for resilient and
-highly nonlinear functions, including the certified bent-triple routes.
+highly nonlinear functions, including the two bent-triple routes.
 
 Composite outputs always place the (reduced) x-block before the y-block;
 fresh variables are appended after the existing ones.  All builders are
@@ -513,24 +513,28 @@ def class_d_restricted_sum(
 
 
 class BentTriple:
-    """Three bent functions whose XOR is bent with matching dual sum.
+    """Three bent functions f1, f2, f3 whose XOR nu1 is bent, with
+    dual(nu1) = dual(f1)+dual(f2)+dual(f3) bit-exactly.  The constructor
+    checks all of it and the members cannot be reassigned, so every
+    BentTriple holds these premises."""
 
-    certified means it was verified that f1, f2, f3 and nu1 = f1+f2+f3
-    are all bent and dual(nu1) = dual(f1)+dual(f2)+dual(f3) bit-exactly;
-    only certify sets it.
-    """
-
-    __slots__ = ("f1", "f2", "f3", "certified")
+    __slots__ = ("f1", "f2", "f3")
 
     def __init__(self, f1: BooleanFunction, f2: BooleanFunction, f3: BooleanFunction):
         if not (f1.n == f2.n == f3.n):
             raise ValueError("triple members must share a variable count")
         if f1.n % 2:
             raise ValueError("bent triples need an even variable count")
-        self.f1 = f1
-        self.f2 = f2
-        self.f3 = f3
-        self.certified = False
+        named = _with_xor("f", f1, f2, f3)
+        _require_bent(*named)
+        nu1 = named[-1][1]  # the XOR whose spectrum is_bent cached
+        if dual(nu1) != dual(f1) ^ dual(f2) ^ dual(f3):
+            raise PremiseError("the dual of the XOR must equal the XOR of the duals")
+        for name, f in zip(self.__slots__, (f1, f2, f3)):
+            object.__setattr__(self, name, f)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a BentTriple's members are fixed when it is made")
 
     @property
     def n(self) -> int:
@@ -540,34 +544,21 @@ class BentTriple:
     def nu1(self) -> BooleanFunction:
         return self.f1 ^ self.f2 ^ self.f3
 
-    @classmethod
-    def certify(
-        cls, f1: BooleanFunction, f2: BooleanFunction, f3: BooleanFunction
-    ) -> "BentTriple":
-        triple = cls(f1, f2, f3)
-        nu1 = triple.nu1
-        _require_bent(("f1", f1), ("f2", f2), ("f3", f3), ("f1+f2+f3", nu1))
-        if dual(nu1) != dual(f1) ^ dual(f2) ^ dual(f3):
-            raise PremiseError("the dual of the XOR must equal the XOR of the duals")
-        triple.certified = True
-        return triple
-
     def __repr__(self) -> str:
-        tag = "certified" if self.certified else "unverified"
-        return f"BentTriple(n={self.n}, {tag})"
+        return f"BentTriple(n={self.n})"
 
 
 def bent_triple_from_derivative(
     vartheta: BooleanFunction, theta: BooleanFunction, a
 ) -> BentTriple:
-    """(vartheta, vartheta(. + a), theta) certified via the shared
+    """The triple (vartheta, vartheta(. + a), theta) via the shared
     derivative: requires D_a(vartheta) = D_a(theta) bit-exactly."""
     if vartheta.n != theta.n:
         raise ValueError("inputs must share a variable count")
     _require_bent(("both inputs", vartheta), ("both inputs", theta))
     if vartheta.derivative(a) != theta.derivative(a):
         raise PremiseError("the two derivatives at a must coincide")
-    return BentTriple.certify(vartheta, vartheta.translate(a), theta)
+    return BentTriple(vartheta, vartheta.translate(a), theta)
 
 
 def generalized_indirect_sum(
@@ -601,7 +592,7 @@ def generalized_indirect_sum(
         _require_resilient(t, *_with_xor("f", f1, f2, f3))
         _require_resilient(k, *_with_xor("g", g1, g2, g3))
     elif mode == "bent":
-        BentTriple.certify(f1, f2, f3)
+        BentTriple(f1, f2, f3)
         _require_bent(*_with_xor("g", g1, g2, g3))
     elif mode is not None:
         raise ValueError(f"unknown mode {mode!r}")
@@ -618,8 +609,6 @@ def walsh_case(triple: BentTriple, alpha) -> tuple[int, str]:
     case 1: all equal -> g1; case 2: f1=f2 != f3 -> g1+g2+g3;
     case 3: f1 != f2=f3 -> g2; case 4: f1=f3 != f2 -> g3.
     """
-    if not triple.certified:
-        raise PremiseError("the triple must be certified")
     w1 = walsh_transform(triple.f1)[alpha]
     w2 = walsh_transform(triple.f2)[alpha]
     w3 = walsh_transform(triple.f3)[alpha]
@@ -659,13 +648,17 @@ def _distinct_up_to_complement(
 
 
 def _certified_sum(
-    triple: BentTriple, gs: tuple, k: int, seeds: tuple, equality: bool
+    triple: BentTriple, gs: tuple, k: int, named_seeds: tuple, equality: bool
 ) -> tuple[BooleanFunction, ResilientSumCertificate]:
-    """The generalized indirect sum of triple with gs and its certificate;
-    the nonlinearity bound uses the largest |W| among the seeds."""
-    h = generalized_indirect_sum(triple.f1, triple.f2, triple.f3, *gs)
+    """The generalized indirect sum of triple with gs = (g1, g2, g3) and its
+    certificate, once k < m-1 and the k-resiliency of the (name, seed) pairs
+    hold; the nonlinearity bound uses the largest |W| among the seeds."""
     n, m = triple.n, gs[0].n
-    spread = max(walsh_transform(s).max_abs for s in seeds)
+    if not k < m - 1:
+        raise PremiseError(f"need k < m-1, got k={k}, m={m}")
+    _require_resilient(k, *named_seeds)
+    h = generalized_indirect_sum(triple.f1, triple.f2, triple.f3, *gs)
+    spread = max(walsh_transform(s).max_abs for _, s in named_seeds)
     bound = (1 << (n + m - 1)) - (1 << (n // 2 - 1)) * spread
     return h, ResilientSumCertificate(k, nonlinearity(h), bound, equality)
 
@@ -677,8 +670,8 @@ def resilient_indirect_sum(
     g3: BooleanFunction,
     k: int,
 ) -> tuple[BooleanFunction, ResilientSumCertificate]:
-    """Generalized indirect sum of a certified bent triple with three
-    k-resilient functions (k-resilient XOR required), k < m-1.
+    """Generalized indirect sum of a bent triple with three k-resilient
+    functions (k-resilient XOR required), k < m-1.
 
     The output is k-resilient with nonlinearity at least
     2^(n+m-1) - 2^(n/2-1) * max over the four g spectra maxima, a lower
@@ -687,17 +680,10 @@ def resilient_indirect_sum(
     but the bound can be strict when it holds and attained when it fails.
     """
     check_total(triple.n + g1.n)
-    if not triple.certified:
-        raise PremiseError("the triple must be certified")
     if not (g1.n == g2.n == g3.n):
         raise ValueError("g inputs must share a variable count")
-    m = g1.n
-    if not k < m - 1:
-        raise PremiseError(f"need k < m-1, got k={k}, m={m}")
-    nu2 = g1 ^ g2 ^ g3
-    _require_resilient(k, ("g1", g1), ("g2", g2), ("g3", g3), ("g1+g2+g3", nu2))
     distinct = _distinct_up_to_complement(triple.f1, triple.f2, triple.f3)
-    return _certified_sum(triple, (g1, g2, g3), k, (g1, g2, g3, nu2), distinct)
+    return _certified_sum(triple, (g1, g2, g3), k, _with_xor("g", g1, g2, g3), distinct)
 
 
 def resilient_indirect_sum_from_pair(
@@ -719,20 +705,15 @@ def resilient_indirect_sum_from_pair(
     it holds and attained when it fails.
     """
     check_total(triple.n + p.n)
-    if not triple.certified:
-        raise PremiseError("the triple must be certified")
     if p.n != q.n:
         raise ValueError("p and q must share a variable count")
     m = p.n
     if not 1 <= i <= m:
         raise ValueError(f"coordinate {i} out of range for m={m}")
-    if not k < m - 1:
-        raise PremiseError(f"need k < m-1, got k={k}, m={m}")
-    _require_resilient(k, ("p", p), ("q", q))
     yi = BooleanFunction.variable(m, i)
     if walsh_case(triple, 0)[0] in (1, 3):
         gs = p, q, q ^ yi
     else:
         gs = p ^ yi, q ^ yi, q
     not_all_equal = not (triple.f1 == triple.f2 == triple.f3)
-    return _certified_sum(triple, gs, k, (p, q), not_all_equal)
+    return _certified_sum(triple, gs, k, (("p", p), ("q", q)), not_all_equal)

@@ -564,7 +564,9 @@ class AnfPolynomial:
         """Size of the longest monomial containing x_i (0 if x_i absent)."""
         if not 1 <= i <= self.n:
             raise ValueError(f"variable index {i} out of range for n={self.n}")
-        return self.degree_per_variable()[i - 1]
+        # the monomials that hold x_i, whose index has bit n - i set
+        holding = self.mask & _coordinate_mask(self.n, self.n - i)
+        return AnfPolynomial(self.n, holding).degree
 
     def __eq__(self, other) -> bool:
         return (

@@ -14,7 +14,7 @@ class PremiseError(ValueError):
 
     Examples: a non-bent input where bentness is required, a map that is
     not a permutation, a violated trace condition, division-convention
-    misuse, or an uncertified triple.
+    misuse, or a failed bent-triple premise.
     """
 
 

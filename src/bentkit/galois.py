@@ -30,8 +30,6 @@ def is_irreducible(poly: int, m: int) -> bool:
     if m == 1:
         return True
     for q in range(2, 1 << (m // 2 + 1)):
-        if q.bit_length() - 1 < 1:
-            continue
         if _polymod(poly, q) == 0:
             return False
     return True

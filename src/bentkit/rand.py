@@ -234,7 +234,7 @@ def random_mm_bent_triple(
 
 
 def random_derivative_triple(n: int, rng: XorShift64Star) -> tuple[BentTriple, int]:
-    """A certified triple (f, f(.+a), g) where f, g are M-M functions
+    """A bent triple (f, f(.+a), g) where f, g are M-M functions
     over one permutation and a is nonzero on the affine block only."""
     k = n // 2
     phi = random_permutation(k, rng)

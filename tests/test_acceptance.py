@@ -403,7 +403,7 @@ def test_criterion_10_example_reproduction_8096():
         p = parse_truth_table(paths[0].read_text())
         q = parse_truth_table(paths[1].read_text())
         assert p != q
-        # certify the fixtures themselves against the brute-force oracles
+        # check the fixtures themselves against the brute-force oracles
         from bentkit.oracle import exhaustive_nonlinearity
 
         for f in (p, q):
@@ -491,7 +491,7 @@ def test_table_one_shape_difference():
         )
         assert mobius(general).mask ^ mobius(plain).mask == mobius(term).mask
     # the f1 = f3 row
-    triple2 = BentTriple.certify(f1, f2, f1)
+    triple2 = BentTriple(f1, f2, f1)
     g3 = g2 ^ BooleanFunction.variable(m, 2)
     general = generalized_indirect_sum(f1, f2, f1, g1, g2, g3)
     plain = indirect_sum(f1, f2, g1, g2)

@@ -359,6 +359,18 @@ _TRIPLE = ("--f1", "--f2", "--f3")
                    *(x for flag in (*_TRIPLE, "--p", "--q")
                      for x in (flag, put(t, "f.tt", MM4)))],
         3, "resiliency order -5 is below -1", id="k-below-minus-one-pair"),
+    pytest.param(  # zero tables: no triple member is bent, but the size comes first
+        lambda t: ["resilient-indirect-sum", "--k", "0",
+                   *(x for flag in (*_TRIPLE, "--g1", "--g2", "--g3")
+                     for x in (flag, put(t, "z.tt", BooleanFunction.zero(14))))],
+        3, "composite output would need 28 > 26 variables",
+        id="resilient-indirect-sum-too-large"),
+    pytest.param(
+        lambda t: ["resilient-indirect-sum-pair", "--k", "0",
+                   *(x for flag in (*_TRIPLE, "--p", "--q")
+                     for x in (flag, put(t, "z.tt", BooleanFunction.zero(14))))],
+        3, "composite output would need 28 > 26 variables",
+        id="resilient-indirect-sum-pair-too-large"),
 ])
 def test_build_error_paths_exit_with_a_message(tmp_path, args, code, message):
     proc = run("build", *args(tmp_path), expect=code)

@@ -809,16 +809,37 @@ def test_generalized_bent_mode():
 def test_bent_triple_certification():
     rng = XorShift64Star(83)
     f1, f2, f3 = random_mm_bent_triple(6, rng)
-    triple = BentTriple.certify(f1, f2, f3)
-    assert triple.certified
+    triple = BentTriple(f1, f2, f3)
+    with pytest.raises(AttributeError):  # a member swapped in would skip the checks
+        triple.f3 = BooleanFunction.variable(6, 1)
+    assert triple.f3 == f3
     with pytest.raises(PremiseError):
-        BentTriple.certify(f1, f2, f1 ^ f2 ^ BooleanFunction.variable(6, 1))
+        BentTriple(f1, f2, f1 ^ f2 ^ BooleanFunction.variable(6, 1))
+
+
+def test_bent_triple_checks_its_premises_when_constructed():
+    x1, x2, x3, x4 = (BooleanFunction.variable(4, j) for j in range(1, 5))
+    a, b, c = (x1 & x2) ^ (x3 & x4), (x1 & x3) ^ (x2 & x4), (x1 & x4) ^ (x2 & x3)
+    assert all(map(is_bent, (a, b, c, a ^ b ^ c)))
+    with pytest.raises(PremiseError, match="^f3 must be bent$"):
+        BentTriple(a, b, x1)
+    with pytest.raises(PremiseError, match="^f1 must be bent$"):
+        BentTriple(x1, x1, x1)
+    # a ^ x1 x3 is bent, but the sum of the three is x2 x4
+    with pytest.raises(PremiseError, match=r"^f1\+f2\+f3 must be bent$"):
+        BentTriple(a, b, a ^ (x1 & x3))
+    # the sum of all six products is bent, with a dual other than the duals' sum
+    with pytest.raises(PremiseError, match="^the dual of the XOR must equal the XOR"):
+        BentTriple(a, b, c)
+    with pytest.raises(ValueError, match="share a variable count"):
+        BentTriple(a, b, BooleanFunction.zero(6))
+    with pytest.raises(ValueError, match="even variable count"):
+        BentTriple(*(BooleanFunction.zero(5),) * 3)
 
 
 def test_derivative_triple_properties():
     rng = XorShift64Star(89)
     triple, a = random_derivative_triple(6, rng)
-    assert triple.certified
     assert triple.f2 == triple.f1.translate(a)
     # nu1 is the translate of f3 and its dual picks up the linear term
     assert triple.nu1 == triple.f3.translate(a)
@@ -831,7 +852,7 @@ def test_derivative_triple_degenerate_and_error():
     f = random_mm_bent(4, rng)
     g = random_mm_bent(4, rng)
     triple = bent_triple_from_derivative(f, f, 0)
-    assert triple.certified and triple.f2 == f
+    assert triple.f2 == f
     # unequal derivatives fail: pick a making D_a(f) != D_a(g)
     for a in range(1, 16):
         if f.derivative(a) != g.derivative(a):
@@ -877,18 +898,9 @@ def test_walsh_case_classification_partition_and_prediction():
 def test_walsh_case_all_equal_triple():
     rng = XorShift64Star(107)
     f = random_mm_bent(4, rng)
-    triple = BentTriple.certify(f, f, f)
+    triple = BentTriple(f, f, f)
     for alpha in range(16):
         assert walsh_case(triple, alpha) == (1, "g1")
-
-
-def test_walsh_case_requires_certification():
-    rng = XorShift64Star(109)
-    f = random_mm_bent(4, rng)
-    with pytest.raises(PremiseError):
-        walsh_case(BentTriple(f, f, f), 0)
-    with pytest.raises(TypeError):  # only BentTriple.certify sets certified
-        BentTriple(f, f, f, certified=True)
 
 
 # -- resilient routes ------------------------------------------------------------
@@ -926,7 +938,7 @@ def test_resilient_pair_equal_triple_strict_inequality():
     # all-equal triple with max|W_p| < max|W_q| leaves the bound strict
     rng = XorShift64Star(131)
     f = random_mm_bent(6, rng)
-    triple = BentTriple.certify(f, f, f)
+    triple = BentTriple(f, f, f)
     p = _mm_112(4)          # max |W| = 32
     q = BooleanFunction.linear(8, 0b11000000)  # max |W| = 256
     h, cert = resilient_indirect_sum_from_pair(triple, p, q, 1, 1)
@@ -943,10 +955,10 @@ def _seeded_resilient_sum(route, seed, n, m, k, triple_kind):
     if triple_kind == "derivative":
         triple, _ = random_derivative_triple(n, rng)
     elif triple_kind == "mm":
-        triple = BentTriple.certify(*random_mm_bent_triple(n, rng))
+        triple = BentTriple(*random_mm_bent_triple(n, rng))
     else:
         f = random_mm_bent(n, rng)
-        triple = BentTriple.certify(f, f, f)
+        triple = BentTriple(f, f, f)
     if route == "triple":
         gs = random_resilient_triple(m, k, rng)
         return (*resilient_indirect_sum(triple, *gs, k), triple, gs)
@@ -1029,9 +1041,6 @@ def test_resilient_routes_premise_errors():
         resilient_indirect_sum(triple, p, p, unbalanced, 1)
     with pytest.raises(PremiseError):
         resilient_indirect_sum_from_pair(triple, p, p, 1, 8)  # k >= m-1
-    f = random_mm_bent(6, rng)
-    with pytest.raises(PremiseError):
-        resilient_indirect_sum_from_pair(BentTriple(f, f, f), p, p, 1, 1)
 
 
 def test_resiliency_order_below_minus_one_is_a_bad_parameter():
@@ -1106,6 +1115,13 @@ def _flat_map(k):
     return PermutationMap([0] * (1 << k))  # not a permutation
 
 
+def _triple14():
+    """A bent triple (f, f, f) on 14 variables: a valid triple, so only the
+    routes' own premises (here, zero g tables) are left to break."""
+    f = mm_function(PermutationMap.identity(7), BooleanFunction.zero(7))
+    return BentTriple(f, f, f)
+
+
 def _unbalanced_psap(m):
     gf = GaloisField(m)
     return gf, [1] * gf.order, (1, 0), (1, 0)
@@ -1128,10 +1144,10 @@ def _unbalanced_psap(m):
                  id="psap-restricted-sum"),
     pytest.param(lambda: rothaus_restricted_sum(*_zeros(12), *_zeros(14)),
                  id="rothaus-restricted-sum"),
-    pytest.param(lambda: resilient_indirect_sum(BentTriple(*_zeros(14)), *_zeros(14), 0),
+    pytest.param(lambda: resilient_indirect_sum(_triple14(), *_zeros(14), 0),
                  id="resilient-indirect-sum"),
-    pytest.param(lambda: resilient_indirect_sum_from_pair(
-        BentTriple(*_zeros(14)), *_zeros(14, 2), 1, 0), id="resilient-indirect-sum-pair"),
+    pytest.param(lambda: resilient_indirect_sum_from_pair(_triple14(), *_zeros(14, 2), 1, 0),
+                 id="resilient-indirect-sum-pair"),
 ])
 def test_output_size_is_checked_before_any_premise(build):
     with pytest.raises(ValueError, match="composite output would need 28 > 26") as exc:
