@@ -599,28 +599,17 @@ def generalized_indirect_sum(
     return _two_block(f1, g1, (f1 ^ f2, g1 ^ g2), (f2 ^ f3, g2 ^ g3))
 
 
-_CASE_MULTIPLIER = {1: "g1", 2: "nu2", 3: "g2", 4: "g3"}
-
-
 def walsh_case(triple: BentTriple, alpha) -> tuple[int, str]:
-    """Which of the four sign patterns W_f1/W_f2/W_f3 takes at alpha,
-    and which g-side spectrum multiplies W_f1(alpha) there.
+    """The sign case of (W_f1, W_f2, W_f3) at alpha, and which g-side
+    spectrum multiplies W_f1(alpha) there.
 
-    case 1: all equal -> g1; case 2: f1=f2 != f3 -> g1+g2+g3;
-    case 3: f1 != f2=f3 -> g2; case 4: f1=f3 != f2 -> g3.
+    With a = [W_f1 != W_f2] and b = [W_f2 != W_f3] at alpha, the case is
+    1 + 2a + b and the multiplier is g1 + a(g1+g2) + b(g2+g3): g1, nu2
+    (= g1+g2+g3), g2 or g3 for cases 1, 2, 3, 4.
     """
-    w1 = walsh_transform(triple.f1)[alpha]
-    w2 = walsh_transform(triple.f2)[alpha]
-    w3 = walsh_transform(triple.f3)[alpha]
-    if w1 == w2 == w3:
-        case = 1
-    elif w1 == w2:
-        case = 2
-    elif w2 == w3:
-        case = 3
-    else:
-        case = 4
-    return case, _CASE_MULTIPLIER[case]
+    w1, w2, w3 = (walsh_transform(f)[alpha] for f in (triple.f1, triple.f2, triple.f3))
+    ab = 2 * (w1 != w2) + (w2 != w3)
+    return 1 + ab, ("g1", "nu2", "g2", "g3")[ab]
 
 
 @dataclass
@@ -694,13 +683,14 @@ def resilient_indirect_sum_from_pair(
     k: int,
 ) -> tuple[BooleanFunction, ResilientSumCertificate]:
     """Assign (g1, g2, g3) from two k-resilient seeds p, q and the
-    coordinate function y_i, steered by the signs of the three triple
-    spectra at 0, then apply the generalized indirect sum.
+    coordinate function y_i, then apply the generalized indirect sum.
 
-    Sign patterns (1)/(3) take (p, q, q+y_i); patterns (2)/(4) take
-    (p+y_i, q+y_i, q).  The output is k-resilient with nonlinearity at
-    least 2^(n+m-1) - 2^(n/2-1) * max(max|W_p|, max|W_q|), a lower bound
-    only: equality_condition reports the paper's stated condition for
+    With z = y_i when b = [W_f2(0) != W_f3(0)] is 1 (an even walsh_case
+    at 0) and z = 0 otherwise, the assignment is (p+z, q+z, q+y_i+z):
+    the multiplier at alpha = 0 is then p or q, so the output is
+    k-resilient.  Its nonlinearity is at least
+    2^(n+m-1) - 2^(n/2-1) * max(max|W_p|, max|W_q|), a lower bound only:
+    equality_condition reports the paper's stated condition for
     equality, that f1 = f2 = f3 fails, but the bound can be strict when
     it holds and attained when it fails.
     """
@@ -711,9 +701,7 @@ def resilient_indirect_sum_from_pair(
     if not 1 <= i <= m:
         raise ValueError(f"coordinate {i} out of range for m={m}")
     yi = BooleanFunction.variable(m, i)
-    if walsh_case(triple, 0)[0] in (1, 3):
-        gs = p, q, q ^ yi
-    else:
-        gs = p ^ yi, q ^ yi, q
+    z = yi if walsh_case(triple, 0)[0] % 2 == 0 else BooleanFunction.zero(m)
+    gs = p ^ z, q ^ z, q ^ yi ^ z
     not_all_equal = not (triple.f1 == triple.f2 == triple.f3)
     return _certified_sum(triple, gs, k, (("p", p), ("q", q)), not_all_equal)

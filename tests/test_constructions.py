@@ -14,6 +14,7 @@ from bentkit import (
     bent_triple_from_derivative,
     class_d_bent,
     class_d_restricted_sum,
+    decode_point,
     degree,
     degree_of_variable,
     direct_sum,
@@ -903,6 +904,44 @@ def test_walsh_case_all_equal_triple():
         assert walsh_case(triple, alpha) == (1, "g1")
 
 
+def reference_walsh_case(triple, alpha):
+    """The four-way comparison walsh_case made before it read the case
+    off two sign bits."""
+    w1 = walsh_transform(triple.f1)[alpha]
+    w2 = walsh_transform(triple.f2)[alpha]
+    w3 = walsh_transform(triple.f3)[alpha]
+    if w1 == w2 == w3:
+        case = 1
+    elif w1 == w2:
+        case = 2
+    elif w2 == w3:
+        case = 3
+    else:
+        case = 4
+    return case, {1: "g1", 2: "nu2", 3: "g2", 4: "g3"}[case]
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_walsh_case_agrees_with_the_ladder_form(n):
+    rng = XorShift64Star(2100 + n)
+    f, g = random_mm_bent(n, rng), random_mm_bent(n, rng)
+    triples = [
+        random_derivative_triple(n, rng)[0],
+        BentTriple(*random_mm_bent_triple(n, rng)),
+        BentTriple(f, f, f),
+        BentTriple(f, ~f, g),
+    ]
+    for triple in triples:
+        for alpha in range(1 << n):
+            got = walsh_case(triple, alpha)
+            assert got == reference_walsh_case(triple, alpha), alpha
+            assert walsh_case(triple, decode_point(alpha, n)) == got, alpha
+        with pytest.raises(ValueError, match="out of range"):
+            walsh_case(triple, 1 << n)
+        with pytest.raises(ValueError, match="expected a vector of length"):
+            walsh_case(triple, (0,) * (n + 1))
+
+
 # -- resilient routes ------------------------------------------------------------
 
 
@@ -947,18 +986,22 @@ def test_resilient_pair_equal_triple_strict_inequality():
 
 
 def _seeded_resilient_sum(route, seed, n, m, k, triple_kind):
-    """One seeded resilient sum: a "derivative", "mm" or "repeated"
-    (f, f, f) bent triple on n variables, then the k-resilient g seeds on
-    m variables, drawn from one generator.  Returns the output, its
-    certificate, the triple and the (g1, g2, g3) the sum was taken with."""
+    """One seeded resilient sum: a "derivative", "mm", "repeated"
+    (f, f, f) or "complement" (f, ~f, g) bent triple on n variables, then
+    the k-resilient g seeds on m variables, drawn from one generator.
+    Returns the output, its certificate, the triple and the (g1, g2, g3)
+    the sum was taken with."""
     rng = XorShift64Star(seed)
     if triple_kind == "derivative":
         triple, _ = random_derivative_triple(n, rng)
     elif triple_kind == "mm":
         triple = BentTriple(*random_mm_bent_triple(n, rng))
-    else:
+    elif triple_kind == "repeated":
         f = random_mm_bent(n, rng)
         triple = BentTriple(f, f, f)
+    else:
+        f = random_mm_bent(n, rng)
+        triple = BentTriple(f, ~f, random_mm_bent(n, rng))
     if route == "triple":
         gs = random_resilient_triple(m, k, rng)
         return (*resilient_indirect_sum(triple, *gs, k), triple, gs)
@@ -991,7 +1034,7 @@ def test_resilient_equality_condition_is_neither_necessary_nor_sufficient(case):
 def test_resilient_sum_nonlinearity_meets_its_bound():
     rng = XorShift64Star(2026)
     for route in ("triple", "pair"):
-        for kind in ("derivative", "mm", "repeated"):
+        for kind in ("derivative", "mm", "repeated", "complement"):
             for n, m in ((2, 4), (2, 5), (4, 4), (4, 5)):
                 for k in range(m - 2):
                     where = (route, kind, n, m, k)
@@ -1010,13 +1053,25 @@ def _exact_nonlinearity(triple, gs):
     return (1 << (triple.n + g1.n - 1)) - (1 << (triple.n // 2 - 1)) * amplitude
 
 
+def _pair_bound_is_attained(triple, gs):
+    """README's corollary for the pair route: the realized multipliers
+    have p's amplitude where f1* + f2* is 0 and q's where it is 1, so the
+    bound is attained exactly when f1* + f2* takes both values or the
+    seed on the side it takes has the larger max|W|."""
+    a = dual(triple.f1) ^ dual(triple.f2)
+    sides = {0, 1} if 0 < a.weight < 1 << a.n else {a.mask & 1}
+    # g1 and g2 are p and q, each plus y_i or not, which keeps its amplitude
+    amplitudes = [walsh_transform(g).max_abs for g in gs[:2]]
+    return max(amplitudes[c] for c in sides) == max(amplitudes)
+
+
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_resilient_sum_nonlinearity_formula_on_seeded_instances(n):
     rng = XorShift64Star(0x4E1 + n)
     strict = 0
     for m in (4, 5, 6):
         for route in ("triple", "pair"):
-            for kind in ("derivative", "mm", "repeated"):
+            for kind in ("derivative", "mm", "repeated", "complement"):
                 for _ in range(6):
                     k = rng.randrange(m - 2)
                     where = (route, kind, m, k)
@@ -1028,7 +1083,10 @@ def test_resilient_sum_nonlinearity_formula_on_seeded_instances(n):
                     ), where
                     assert nonlinearity(h) == cert.nonlinearity, where
                     assert cert.nonlinearity == _exact_nonlinearity(triple, gs), where
-                    strict += cert.nonlinearity > cert.nonlinearity_bound
+                    attained = cert.nonlinearity == cert.nonlinearity_bound
+                    if route == "pair":
+                        assert attained == _pair_bound_is_attained(triple, gs), where
+                    strict += not attained
     assert strict  # the sweep reaches the cases where the bound is strict
 
 
