@@ -130,8 +130,7 @@ def is_semi_bent(f: BooleanFunction) -> bool:
 def complementary_plateaued(g1: BooleanFunction, g2: BooleanFunction) -> bool:
     """Both (p-1)th-order plateaued in p (odd) variables with Walsh
     supports partitioning F_2^p."""
-    if g1.n != g2.n:
-        raise ValueError(f"variable counts differ: {g1.n} vs {g2.n}")
+    g1._check_same_n(g2)  # plateaued_order reads each input alone
     p = g1.n
     if p % 2 == 0:
         raise ValueError("complementary plateaued pairs need an odd variable count")

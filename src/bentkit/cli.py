@@ -120,11 +120,9 @@ def cmd_verify(args) -> int:
 # -- build ---------------------------------------------------------------
 
 
-def _param_function(value, rng, n_random: int | None, label: str) -> BooleanFunction:
+def _param_function(value, rng, n_random: int, label: str) -> BooleanFunction:
     """A function parameter: a truth-table path or the string "random"."""
     if value == "random":
-        if n_random is None:
-            raise PremiseError(f"cannot draw {label} at random: dimension unknown")
         return rand.random_function(n_random, rng)
     if isinstance(value, str):
         return _load(value)

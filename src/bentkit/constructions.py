@@ -333,8 +333,6 @@ def rothaus(
     """The classical extension maj(f1, f2, f3) + (f1+f2) y + (f1+f3) z + y z
     to n+2 variables, the fresh y, z appended after x_n.  All four bentness
     premises (f1, f2, f3 and their XOR) are checked eagerly."""
-    if not (f1.n == f2.n == f3.n):
-        raise ValueError("the three inputs must share a variable count")
     check_total(f1.n + 2)
     _require_bent(*_with_xor("f", f1, f2, f3))
     return _rothaus_table(f1, f2, f3)
@@ -521,8 +519,6 @@ class BentTriple:
     __slots__ = ("f1", "f2", "f3")
 
     def __init__(self, f1: BooleanFunction, f2: BooleanFunction, f3: BooleanFunction):
-        if not (f1.n == f2.n == f3.n):
-            raise ValueError("triple members must share a variable count")
         if f1.n % 2:
             raise ValueError("bent triples need an even variable count")
         named = _with_xor("f", f1, f2, f3)
@@ -553,8 +549,7 @@ def bent_triple_from_derivative(
 ) -> BentTriple:
     """The triple (vartheta, vartheta(. + a), theta) via the shared
     derivative: requires D_a(vartheta) = D_a(theta) bit-exactly."""
-    if vartheta.n != theta.n:
-        raise ValueError("inputs must share a variable count")
+    vartheta._check_same_n(theta)  # is_bent reads each input alone
     _require_bent(("both inputs", vartheta), ("both inputs", theta))
     if vartheta.derivative(a) != theta.derivative(a):
         raise PremiseError("the two derivatives at a must coincide")
@@ -579,21 +574,20 @@ def generalized_indirect_sum(
     is then (t+k+1)-resilient); mode="bent" certifies that all eight
     functions are bent and the f-side dual-sum condition holds (the
     output is then bent).  With f2 = f3 and g2 = g3 the formula reduces
-    to the plain indirect sum.
+    to the plain indirect sum.  Mismatched variable counts on either side
+    are a ValueError, raised before any premise is checked.
     """
-    if not (f1.n == f2.n == f3.n):
-        raise ValueError("f inputs must share a variable count")
-    if not (g1.n == g2.n == g3.n):
-        raise ValueError("g inputs must share a variable count")
     check_total(f1.n + g1.n)
     if mode == "resilient":
         if t is None or k is None:
             raise ValueError("resilient mode needs both t and k")
-        _require_resilient(t, *_with_xor("f", f1, f2, f3))
-        _require_resilient(k, *_with_xor("g", g1, g2, g3))
+        fs, gs = _with_xor("f", f1, f2, f3), _with_xor("g", g1, g2, g3)
+        _require_resilient(t, *fs)
+        _require_resilient(k, *gs)
     elif mode == "bent":
+        gs = _with_xor("g", g1, g2, g3)
         BentTriple(f1, f2, f3)
-        _require_bent(*_with_xor("g", g1, g2, g3))
+        _require_bent(*gs)
     elif mode is not None:
         raise ValueError(f"unknown mode {mode!r}")
     return _two_block(f1, g1, (f1 ^ f2, g1 ^ g2), (f2 ^ f3, g2 ^ g3))
@@ -669,8 +663,6 @@ def resilient_indirect_sum(
     but the bound can be strict when it holds and attained when it fails.
     """
     check_total(triple.n + g1.n)
-    if not (g1.n == g2.n == g3.n):
-        raise ValueError("g inputs must share a variable count")
     distinct = _distinct_up_to_complement(triple.f1, triple.f2, triple.f3)
     return _certified_sum(triple, (g1, g2, g3), k, _with_xor("g", g1, g2, g3), distinct)
 
@@ -695,11 +687,7 @@ def resilient_indirect_sum_from_pair(
     it holds and attained when it fails.
     """
     check_total(triple.n + p.n)
-    if p.n != q.n:
-        raise ValueError("p and q must share a variable count")
     m = p.n
-    if not 1 <= i <= m:
-        raise ValueError(f"coordinate {i} out of range for m={m}")
     yi = BooleanFunction.variable(m, i)
     z = yi if walsh_case(triple, 0)[0] % 2 == 0 else BooleanFunction.zero(m)
     gs = p ^ z, q ^ z, q ^ yi ^ z

@@ -198,7 +198,7 @@ class BooleanFunction:
     def _check_same_n(self, other: "BooleanFunction") -> None:
         if self._n != other._n:
             raise ValueError(
-                f"variable counts differ: {self._n} vs {other._n}"
+                f"inputs must share a variable count, got {self._n} and {other._n}"
             )
 
     def __xor__(self, other: "BooleanFunction") -> "BooleanFunction":
@@ -523,14 +523,10 @@ class AnfPolynomial:
         self.n = n
         self.mask = mask
 
-    def _support(self) -> np.ndarray:
-        """The subset indices I with a_I = 1, ascending."""
-        return np.flatnonzero(_unpack_bits(self.mask, self.n))
-
     def monomials(self) -> list[tuple[int, ...]]:
         """Sorted variable-index tuples of the nonzero coefficients."""
         out = []
-        for idx in self._support():
+        for idx in np.flatnonzero(_unpack_bits(self.mask, self.n)):
             out.append(
                 tuple(j for j in range(1, self.n + 1) if (int(idx) >> (self.n - j)) & 1)
             )
@@ -547,18 +543,8 @@ class AnfPolynomial:
         return int((np.bitwise_count(k) + _TOP_WEIGHT[raw[k]]).max(initial=0))
 
     def degree_per_variable(self) -> list[int]:
-        """For x_1, ..., x_n in turn, the size of the longest monomial
-        containing it (0 if absent).  One pass over the support ORs each
-        monomial into the slot of its size; x_i's degree is the largest
-        size whose OR holds x_i's bit."""
-        support = self._support()
-        by_size = np.zeros(self.n + 1, support.dtype)
-        np.bitwise_or.at(by_size, np.bitwise_count(support), support)
-        ors = by_size.tolist()
-        return [
-            next((d for d in range(self.n, 0, -1) if ors[d] >> (self.n - j) & 1), 0)
-            for j in range(1, self.n + 1)
-        ]
+        """degree_of_variable for x_1, ..., x_n in turn."""
+        return [self.degree_of_variable(j) for j in range(1, self.n + 1)]
 
     def degree_of_variable(self, i: int) -> int:
         """Size of the longest monomial containing x_i (0 if x_i absent)."""

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -435,3 +436,17 @@ def test_resiliency_report_of_a_linear_function(n, w):
 def test_resiliency_report_of_a_constant_function():
     # W is zero off w = 0: correlation immune of every order, unbalanced
     assert resiliency_report(BooleanFunction.zero(14)) == (14, -1)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: bounds_report(6, -2), ValueError,
+                 "resiliency is at least -1 by convention", id="bounds-order"),
+    pytest.param(lambda: complementary_plateaued(BooleanFunction.zero(3),
+                                                 BooleanFunction.zero(5)),
+                 ValueError, "inputs must share a variable count, got 3 and 5",
+                 id="complementary-counts"),
+])
+def test_bad_arguments_raise_with_a_message(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)) as exc:
+        call()
+    assert type(exc.value) is error

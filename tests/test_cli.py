@@ -371,6 +371,12 @@ _TRIPLE = ("--f1", "--f2", "--f3")
                      for x in (flag, put(t, "z.tt", BooleanFunction.zero(14))))],
         3, "composite output would need 28 > 26 variables",
         id="resilient-indirect-sum-pair-too-large"),
+    pytest.param(  # bent, so unbalanced: accepted at k = -1 only
+        lambda t: ["resilient-indirect-sum", "--k", "-1",
+                   *(x for flag in (*_TRIPLE, "--g1", "--g2")
+                     for x in (flag, put(t, "f.tt", MM4))),
+                   "--g3", put(t, "g.tt", BooleanFunction.zero(6))],
+        3, "share a variable count", id="g3-of-another-size"),
 ])
 def test_build_error_paths_exit_with_a_message(tmp_path, args, code, message):
     proc = run("build", *args(tmp_path), expect=code)

@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -39,8 +41,8 @@ from bentkit import (
     walsh_case,
     walsh_transform,
 )
-from bentkit import analysis
-from bentkit.constructions import _two_block
+from bentkit import analysis, core
+from bentkit.constructions import _two_block, class_d_e1
 from bentkit.oracle import naive_walsh, resiliency_by_definition
 from bentkit.rand import (
     XorShift64Star,
@@ -1162,6 +1164,119 @@ def test_generalized_dimension_errors():
     g = random_mm_bent(6, rng)
     with pytest.raises(ValueError):
         generalized_indirect_sum(f, f, g, f, f, f)
+
+
+def _fresh(fs):
+    """Copies with no cached spectrum: a premise check on them makes a new one."""
+    return [BooleanFunction(f.n, f.mask) for f in fs]
+
+
+def _bent3(n):
+    return _fresh(random_mm_bent_triple(n, XorShift64Star(160 + n)))
+
+
+def _resilient3(n, t):
+    return _fresh(random_resilient_triple(n, t, XorShift64Star(170 + n)))
+
+
+def _one_off(fs, other):
+    """fs with its last member replaced by one of another variable count."""
+    return [*fs[:2], other]
+
+
+# Each row builds its inputs, valid but for one variable count or the pair
+# route's coordinate, and returns the call.  Every premise the call checks
+# would compute a spectrum (orders of 2 or more, bentness, the triple's
+# duals), so a mismatch found late shows as a new spectrum.
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: partial(rothaus, *_one_off(_bent3(4), _bent3(6)[0])),
+                 "share a variable count, got 4 and 6", id="rothaus"),
+    pytest.param(lambda: partial(BentTriple, *_one_off(_bent3(4), _bent3(6)[0])),
+                 "share a variable count, got 4 and 6", id="bent-triple"),
+    pytest.param(lambda: partial(generalized_indirect_sum,
+                                 *_one_off(_bent3(4), _bent3(6)[0]), *_bent3(4)),
+                 "share a variable count, got 4 and 6", id="generalized-f"),
+    pytest.param(lambda: partial(generalized_indirect_sum,
+                                 *_bent3(4), *_one_off(_bent3(6), _bent3(4)[0])),
+                 "share a variable count, got 6 and 4", id="generalized-g"),
+    pytest.param(lambda: partial(generalized_indirect_sum,
+                                 *_one_off(_resilient3(5, 2), _resilient3(3, 0)[0]),
+                                 *_resilient3(4, 1), mode="resilient", t=2, k=1),
+                 "share a variable count, got 5 and 3", id="generalized-f-resilient"),
+    pytest.param(lambda: partial(generalized_indirect_sum, *_resilient3(5, 2),
+                                 *_one_off(_resilient3(4, 1), _resilient3(3, 0)[0]),
+                                 mode="resilient", t=2, k=1),
+                 "share a variable count, got 4 and 3", id="generalized-g-resilient"),
+    pytest.param(lambda: partial(generalized_indirect_sum,
+                                 *_one_off(_bent3(4), _bent3(6)[0]), *_bent3(4), mode="bent"),
+                 "share a variable count, got 4 and 6", id="generalized-f-bent"),
+    pytest.param(lambda: partial(generalized_indirect_sum,
+                                 *_bent3(6), *_one_off(_bent3(4), _bent3(6)[0]), mode="bent"),
+                 "share a variable count, got 4 and 6", id="generalized-g-bent"),
+    pytest.param(lambda: partial(resilient_indirect_sum, BentTriple(*_bent3(4)),
+                                 *_one_off(_resilient3(4, 1), _resilient3(3, 0)[0]), 1),
+                 "share a variable count, got 4 and 3", id="resilient-indirect-sum"),
+    pytest.param(lambda: partial(resilient_indirect_sum_from_pair, BentTriple(*_bent3(4)),
+                                 _resilient3(4, 1)[0], _resilient3(3, 0)[0], 1, 1),
+                 "share a variable count, got 3 and 4", id="resilient-indirect-sum-pair"),
+    pytest.param(lambda: partial(bent_triple_from_derivative,
+                                 _bent3(4)[0], _bent3(6)[0], 0),
+                 "share a variable count, got 4 and 6", id="derivative-triple"),
+    pytest.param(lambda: partial(resilient_indirect_sum_from_pair, BentTriple(*_bent3(4)),
+                                 *_resilient3(4, 1)[:2], 5, 1),
+                 "variable index 5 out of range for n=4", id="pair-coordinate"),
+])
+def test_bad_arguments_are_caught_before_any_spectrum(monkeypatch, build, message):
+    call = build()
+    made = []
+
+    class Counted(core.WalshSpectrum):
+        __slots__ = ()
+
+        def __init__(self, n, values):
+            made.append(n)
+            super().__init__(n, values)
+
+    monkeypatch.setattr(core, "WalshSpectrum", Counted)
+    with pytest.raises(ValueError, match=re.escape(message)) as exc:
+        call()
+    assert type(exc.value) is ValueError
+    assert made == []
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: LinearSubspace(0), ValueError,
+                 "ambient dimension must be in [1, 26]", id="subspace-dimension"),
+    pytest.param(lambda: LinearSubspace(3, [8]), ValueError,
+                 "vector 8 outside F_2^3", id="subspace-vector"),
+    pytest.param(lambda: mm_function(PermutationMap.identity(2), BooleanFunction.zero(3)),
+                 ValueError, "u must have 2 variables, got 3", id="mm-u-size"),
+    pytest.param(lambda: psap_bent(GaloisField(2), [0, 1, 2, 1]), ValueError,
+                 "theta must be a bit table over all 4 elements", id="psap-theta"),
+    pytest.param(lambda: class_d_bent(_flat_map(2), LinearSubspace.zero(2),
+                                      LinearSubspace.zero(2)),
+                 PremiseError, "class D needs a Boolean permutation", id="class-d-map"),
+    pytest.param(lambda: class_d_bent(PermutationMap.identity(2), LinearSubspace.zero(3),
+                                      LinearSubspace.zero(2)),
+                 ValueError, "subspaces must live in F_2^2", id="class-d-subspaces"),
+    pytest.param(lambda: class_d_e1(PermutationMap.identity(2), LinearSubspace.zero(3)),
+                 ValueError, "subspaces must live in F_2^2", id="class-d-e1"),
+    pytest.param(lambda: restricted_indirect_sum(BooleanFunction.zero(3), 1, MM4, 1),
+                 PremiseError, "inputs must have even variable counts", id="odd-count"),
+    pytest.param(lambda: restricted_indirect_sum(MM4, 1, MM4, 1, "02"), ValueError,
+                 "variant must be one of 00/01/10/11, got '02'", id="variant"),
+    pytest.param(lambda: mm_restricted_sum(_flat_map(2), PermutationMap.identity(2), 1, 1,
+                                           *_zeros(2, 2)),
+                 PremiseError, "both maps must be Boolean permutations", id="mm-maps"),
+    pytest.param(lambda: generalized_indirect_sum(*_zeros(2, 6), mode="resilient", t=0),
+                 ValueError, "resilient mode needs both t and k", id="resilient-no-k"),
+    pytest.param(lambda: generalized_indirect_sum(*_zeros(2, 6), mode="plain"),
+                 ValueError, "unknown mode 'plain'", id="unknown-mode"),
+])
+def test_bad_arguments_raise_with_a_message(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)) as exc:
+        call()
+    assert type(exc.value) is error
 
 
 

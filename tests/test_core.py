@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,6 @@ from bentkit import (
     serialize_truth_table,
     walsh_transform,
 )
-from bentkit.core import _coordinate_mask
 from bentkit.rand import XorShift64Star, random_function, random_mm_bent
 
 
@@ -382,9 +382,15 @@ def test_mobius_agrees_with_the_reference_butterfly(n):
         assert got == reference_degree_of_variable(rows, n, i).tolist()
 
 
+def reference_degree_per_variable(p):
+    """x_i's degree read off the monomial list: the size of the largest
+    monomial that holds x_i, 0 when none does."""
+    monomials = p.monomials()
+    return [max((len(t) for t in monomials if i in t), default=0)
+            for i in range(1, p.n + 1)]
+
+
 def test_degree_per_variable_agrees_with_the_masked_degree():
-    # x_i's degree is the degree of the coefficients masked to x_i, the
-    # definition degree_of_variable used before
     rng = XorShift64Star(12)
     cases = [AnfPolynomial(n, rng.bits(1 << n)) for n in range(1, 13) for _ in range(3)]
     cases += [AnfPolynomial(n, rng.bits(1 << n) & rng.bits(1 << n) & rng.bits(1 << n))
@@ -392,9 +398,7 @@ def test_degree_per_variable_agrees_with_the_masked_degree():
     cases.append(mobius(random_mm_bent(20, XorShift64Star(20))))
     for p in cases:
         per = p.degree_per_variable()
-        assert per == [p.degree_of_variable(i) for i in range(1, p.n + 1)]
-        on = [p.mask & _coordinate_mask(p.n, p.n - i) for i in range(1, p.n + 1)]
-        assert per == [AnfPolynomial(p.n, m).degree for m in on]
+        assert per == reference_degree_per_variable(p)
         assert max(per, default=0) <= p.degree
 
 
@@ -531,3 +535,40 @@ def test_degree_of_xor_bounded(n, s1, s2):
     f = random_function(n, XorShift64Star(s1))
     g = random_function(n, XorShift64Star(s2))
     assert degree(f ^ g) <= max(degree(f), degree(g))
+
+
+# -- bad arguments -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: encode_point((0, 2)), ValueError,
+                 "vector entries must be bits, got 2", id="encode-point-non-bit"),
+    pytest.param(lambda: BooleanFunction(2, 1 << 4), ValueError,
+                 "table mask has bits beyond 2^n entries", id="mask-too-wide"),
+    pytest.param(lambda: BooleanFunction(2, -1), ValueError,
+                 "table mask has bits beyond 2^n entries", id="mask-negative"),
+    pytest.param(lambda: BooleanFunction(2, [0, 1]), ValueError,
+                 "table length must be 4, got shape (2,)", id="table-too-short"),
+    pytest.param(lambda: BooleanFunction.variable(3, 4), ValueError,
+                 "variable index 4 out of range for n=3", id="variable-index"),
+    pytest.param(lambda: BooleanFunction.linear(3, 8), ValueError,
+                 "linear mask 8 out of range for n=3", id="linear-mask"),
+    pytest.param(lambda: X1X2.restrict(1, 2), ValueError,
+                 "restriction value must be a bit, got 2", id="restrict-value"),
+    pytest.param(lambda: X1X2 ^ BooleanFunction.zero(3), ValueError,
+                 "inputs must share a variable count, got 2 and 3", id="xor-counts"),
+    pytest.param(lambda: BooleanFunction.zero(3) & X1X2, ValueError,
+                 "inputs must share a variable count, got 3 and 2", id="and-counts"),
+    pytest.param(lambda: WalshSpectrum(2, [4, 0, 0]), ValueError,
+                 "spectrum length must be 4", id="spectrum-length"),
+    pytest.param(lambda: AnfPolynomial(0, 0), ValueError,
+                 "variable count must be in [1, 26], got 0", id="anf-count"),
+    pytest.param(lambda: AnfPolynomial(2, 1 << 4), ValueError,
+                 "coefficient mask has bits beyond 2^n entries", id="anf-mask"),
+    pytest.param(lambda: AnfPolynomial(2, 1).degree_of_variable(3), ValueError,
+                 "variable index 3 out of range for n=2", id="anf-variable-index"),
+])
+def test_bad_arguments_raise_with_a_message(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)) as exc:
+        call()
+    assert type(exc.value) is error

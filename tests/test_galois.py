@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -101,3 +103,13 @@ def test_exp_log_tables_are_inverse_bijections(m):
     for p in range(1, gf.order):
         for q in range(1, gf.order):
             assert gf.mul(p, q) == gf.exp[(gf.log[p] + gf.log[q]) % span]
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: GaloisField(3).mul(8, 1), ValueError,
+                 "8 is not an element of GF(2^3)", id="mul-outside-field"),
+])
+def test_bad_arguments_raise_with_a_message(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)) as exc:
+        call()
+    assert type(exc.value) is error

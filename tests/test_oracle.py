@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from bentkit import (
@@ -11,6 +13,7 @@ from bentkit import (
     walsh_transform,
 )
 from bentkit.oracle import (
+    correlation_immune_by_definition,
     verify_bent,
     verify_nonlinearity,
     verify_resiliency,
@@ -168,3 +171,17 @@ def test_verify_reports():
         assert report.agreed
         assert report.first_divergence is None
         assert report.as_dict()["agreed"] is True
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: correlation_immune_by_definition(BooleanFunction.zero(11), 1),
+                 CapError, "definition-level resiliency capped at n=10", id="ci-cap"),
+    pytest.param(lambda: correlation_immune_by_definition(X1X2, 3), ValueError,
+                 "order r=3 out of range for n=2", id="ci-order"),
+    pytest.param(lambda: resiliency_by_definition(X1X2, -1), ValueError,
+                 "order r=-1 out of range for n=2", id="resiliency-order"),
+])
+def test_bad_arguments_raise_with_a_message(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)) as exc:
+        call()
+    assert type(exc.value) is error
