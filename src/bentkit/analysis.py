@@ -31,8 +31,9 @@ def nonlinearity(f: BooleanFunction) -> int:
 def is_bent(f: BooleanFunction) -> bool:
     """Every W(w) = +-2^(n/2), tested as max|W|^2 == 2^n: exact as
     WalshSpectrum enforces Parseval (the 2^n squares sum to 4^n, so the
-    largest is 2^n only if all are).  No odd n passes: 2^n is no square."""
-    return walsh_transform(f).max_abs ** 2 == 1 << f.n
+    largest is 2^n only if all are).  No odd n is bent, as 2^n is no
+    square, so odd n is answered from n alone and no spectrum is made."""
+    return f.n % 2 == 0 and walsh_transform(f).max_abs ** 2 == 1 << f.n
 
 
 def dual(f: BooleanFunction) -> BooleanFunction:

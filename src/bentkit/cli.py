@@ -432,9 +432,3 @@ def main(argv=None) -> int:
         return _fail(exc, 3)
     except OSError as exc:
         return _fail(exc, 1)
-
-
-if __name__ == "__main__":  # the same program as python -m bentkit
-    from bentkit.__main__ import run
-
-    run()

@@ -234,7 +234,7 @@ def psap_bent(field: GaloisField, theta: Sequence[int]) -> BooleanFunction:
     powers = np.array(bits, dtype=np.uint8)[field.exp]
     table = np.concatenate([powers, powers])[np.add.outer(logs, span - logs)]
     table[0, :] = table[:, 0] = bits[0]
-    return BooleanFunction(2 * m, table.reshape(-1))
+    return BooleanFunction(2 * m, _pack_bits(table.reshape(-1)))
 
 
 def class_d_bent(
@@ -369,8 +369,6 @@ def restricted_indirect_sum(
     """
     check_total(f.n + g.n - 2)
     _check_coordinates(mu, f.n, rho, g.n)
-    if f.n % 2 or g.n % 2:
-        raise PremiseError("inputs must have even variable counts")
     if variant not in ("00", "01", "10", "11"):
         raise ValueError(f"variant must be one of 00/01/10/11, got {variant!r}")
     _require_bent(("f", f), ("g", g))
@@ -399,13 +397,12 @@ def mm_restricted_sum(
     """The restricted indirect sum of two M-M functions at affine
     coordinates mu and rho: the indirect sum of the halves of
     mm_function(phi, u) at x_mu and of mm_function(psi, v) at x_rho.
-    Both M-M functions are bent by construction, so no Walsh transform
-    is run."""
+    mm_function checks that each map is a permutation, which makes each
+    M-M function bent, so no Walsh transform is run."""
     check_total(2 * phi.k + 2 * psi.k - 2)
     _check_coordinates(mu, phi.k, rho, psi.k)
-    if not (phi.is_permutation and psi.is_permutation):
-        raise PremiseError("both maps must be Boolean permutations")
-    f, g = mm_function(phi, u), mm_function(psi, v)
+    f = mm_function(phi, u, require_bent=True)
+    g = mm_function(psi, v, require_bent=True)
     return indirect_sum(*_halves(f, mu), *_halves(g, rho))
 
 
@@ -519,8 +516,6 @@ class BentTriple:
     __slots__ = ("f1", "f2", "f3")
 
     def __init__(self, f1: BooleanFunction, f2: BooleanFunction, f3: BooleanFunction):
-        if f1.n % 2:
-            raise ValueError("bent triples need an even variable count")
         named = _with_xor("f", f1, f2, f3)
         _require_bent(*named)
         nu1 = named[-1][1]  # the XOR whose spectrum is_bent cached
@@ -549,8 +544,7 @@ def bent_triple_from_derivative(
 ) -> BentTriple:
     """The triple (vartheta, vartheta(. + a), theta) via the shared
     derivative: requires D_a(vartheta) = D_a(theta) bit-exactly."""
-    vartheta._check_same_n(theta)  # is_bent reads each input alone
-    _require_bent(("both inputs", vartheta), ("both inputs", theta))
+    vartheta._check_same_n(theta)  # the first joint use, !=, never compares counts
     if vartheta.derivative(a) != theta.derivative(a):
         raise PremiseError("the two derivatives at a must coincide")
     return BentTriple(vartheta, vartheta.translate(a), theta)

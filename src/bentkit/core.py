@@ -12,6 +12,7 @@ support scans.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -252,15 +253,16 @@ class BooleanFunction:
             raise ValueError("cannot restrict a 1-variable function")
         if not 1 <= j <= self._n:
             raise ValueError(f"variable index {j} out of range for n={self._n}")
-        if b not in (0, 1):
+        bit = int(b) if isinstance(b, (int, np.integer)) else None
+        if bit not in (0, 1):
             raise ValueError(f"restriction value must be a bit, got {b!r}")
         p = self._n - j  # bit position of x_j inside the index
         raw = self._mask.to_bytes(_table_bytes(self._n), "little")
         if p >= 3:  # each half is a run of 2^(p-3) whole bytes
             rows = np.frombuffer(raw, np.uint8).reshape(-1, 2, 1 << (p - 3))
-            mask = int.from_bytes(rows[:, b].tobytes(), "little")
+            mask = int.from_bytes(rows[:, bit].tobytes(), "little")
         else:  # byte 2k gives the low nibble of byte k, byte 2k + 1 the high
-            select = _NIBBLE_SELECT[p][b]
+            select = _NIBBLE_SELECT[p][bit]
             low = int.from_bytes(raw[0::2].translate(select), "little")
             mask = low | int.from_bytes(raw[1::2].translate(select), "little") << 4
         return BooleanFunction(self._n - 1, mask)
@@ -518,6 +520,7 @@ class AnfPolynomial:
     def __init__(self, n: int, mask: int):
         if not 1 <= n <= MAX_VARS:
             raise ValueError(f"variable count must be in [1, {MAX_VARS}], got {n}")
+        mask = operator.index(mask)
         if mask < 0 or mask >> (1 << n):
             raise ValueError("coefficient mask has bits beyond 2^n entries")
         self.n = n

@@ -836,7 +836,7 @@ def test_bent_triple_checks_its_premises_when_constructed():
         BentTriple(a, b, c)
     with pytest.raises(ValueError, match="share a variable count"):
         BentTriple(a, b, BooleanFunction.zero(6))
-    with pytest.raises(ValueError, match="even variable count"):
+    with pytest.raises(PremiseError, match="^f1 must be bent$"):
         BentTriple(*(BooleanFunction.zero(5),) * 3)
 
 
@@ -1228,6 +1228,15 @@ def _one_off(fs, other):
 ])
 def test_bad_arguments_are_caught_before_any_spectrum(monkeypatch, build, message):
     call = build()
+    made = _count_spectra(monkeypatch)
+    with pytest.raises(ValueError, match=re.escape(message)) as exc:
+        call()
+    assert type(exc.value) is ValueError
+    assert made == []
+
+
+def _count_spectra(monkeypatch):
+    """The variable counts of the Walsh spectra made from here on."""
     made = []
 
     class Counted(core.WalshSpectrum):
@@ -1238,9 +1247,37 @@ def test_bad_arguments_are_caught_before_any_spectrum(monkeypatch, build, messag
             super().__init__(n, values)
 
     monkeypatch.setattr(core, "WalshSpectrum", Counted)
-    with pytest.raises(ValueError, match=re.escape(message)) as exc:
+    return made
+
+
+# No function of an odd number of variables is bent: each call fails its
+# first bentness premise from the variable count alone.
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: rothaus(*_zeros(5)), "f1 must be bent", id="rothaus"),
+    pytest.param(lambda: rothaus_restricted_sum(*_zeros(5), *_zeros(4)),
+                 "f1 must be bent", id="rothaus-restricted-sum"),
+    pytest.param(lambda: restricted_indirect_sum(*_zeros(3, 1), 1, *_zeros(5, 1), 1),
+                 "f must be bent", id="restricted-indirect-sum"),
+    pytest.param(lambda: BentTriple(*_zeros(5)), "f1 must be bent", id="bent-triple"),
+    pytest.param(lambda: generalized_indirect_sum(*_zeros(5), *_zeros(4), mode="bent"),
+                 "f1 must be bent", id="generalized-bent"),
+    pytest.param(lambda: bent_triple_from_derivative(*_zeros(5, 2), 1),
+                 "f1 must be bent", id="derivative-triple"),
+    pytest.param(lambda: dual(BooleanFunction.variable(23, 1)),
+                 "dual is defined for bent functions only", id="dual-23"),
+])
+def test_odd_inputs_fail_their_bentness_premise_without_a_spectrum(
+    monkeypatch, call, message
+):
+    made = _count_spectra(monkeypatch)
+    with pytest.raises(PremiseError, match=re.escape(message)):
         call()
-    assert type(exc.value) is ValueError
+    assert made == []
+
+
+def test_is_bent_answers_odd_counts_without_a_spectrum(monkeypatch):
+    made = _count_spectra(monkeypatch)
+    assert not any(is_bent(f) for f in (*_zeros(5, 1), BooleanFunction.variable(23, 1)))
     assert made == []
 
 
@@ -1262,12 +1299,13 @@ def test_bad_arguments_are_caught_before_any_spectrum(monkeypatch, build, messag
     pytest.param(lambda: class_d_e1(PermutationMap.identity(2), LinearSubspace.zero(3)),
                  ValueError, "subspaces must live in F_2^2", id="class-d-e1"),
     pytest.param(lambda: restricted_indirect_sum(BooleanFunction.zero(3), 1, MM4, 1),
-                 PremiseError, "inputs must have even variable counts", id="odd-count"),
+                 PremiseError, "f must be bent", id="odd-count"),
     pytest.param(lambda: restricted_indirect_sum(MM4, 1, MM4, 1, "02"), ValueError,
                  "variant must be one of 00/01/10/11, got '02'", id="variant"),
     pytest.param(lambda: mm_restricted_sum(_flat_map(2), PermutationMap.identity(2), 1, 1,
                                            *_zeros(2, 2)),
-                 PremiseError, "both maps must be Boolean permutations", id="mm-maps"),
+                 PremiseError, "bent M-M functions need a Boolean permutation",
+                 id="mm-maps"),
     pytest.param(lambda: generalized_indirect_sum(*_zeros(2, 6), mode="resilient", t=0),
                  ValueError, "resilient mode needs both t and k", id="resilient-no-k"),
     pytest.param(lambda: generalized_indirect_sum(*_zeros(2, 6), mode="plain"),

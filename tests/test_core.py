@@ -475,6 +475,20 @@ def test_restrict_agrees_with_the_unpack_form(n):
                 assert f.restrict(j, b) == reference_restrict(f, j, b), (n, j, b)
 
 
+def test_restrict_reads_bools_and_numpy_integers_as_bits():
+    f = random_function(6, XorShift64Star(1206))
+    for j in range(1, 7):
+        assert f.restrict(j, False) == f.restrict(j, 0)
+        assert f.restrict(j, True) == f.restrict(j, 1)
+        assert f.restrict(j, np.uint8(1)) == f.restrict(j, 1)
+
+
+def test_anf_reads_a_numpy_integer_mask_as_an_int():
+    p, q = AnfPolynomial(3, np.int64(6)), AnfPolynomial(3, 6)
+    assert type(p.mask) is int
+    assert (p.monomials(), p.degree, mobius_inv(p)) == (q.monomials(), q.degree, mobius_inv(q))
+
+
 def test_derivative_examples():
     f = random_function(5, XorShift64Star(3))
     assert f.derivative((0, 0, 0, 0, 0)) == BooleanFunction.zero(5)
@@ -555,6 +569,10 @@ def test_degree_of_xor_bounded(n, s1, s2):
                  "linear mask 8 out of range for n=3", id="linear-mask"),
     pytest.param(lambda: X1X2.restrict(1, 2), ValueError,
                  "restriction value must be a bit, got 2", id="restrict-value"),
+    pytest.param(lambda: X1X2.restrict(1, 1.0), ValueError,
+                 "restriction value must be a bit, got 1.0", id="restrict-float"),
+    pytest.param(lambda: X1X2.restrict(1, np.True_), ValueError,
+                 "restriction value must be a bit, got np.True_", id="restrict-numpy-bool"),
     pytest.param(lambda: X1X2 ^ BooleanFunction.zero(3), ValueError,
                  "inputs must share a variable count, got 2 and 3", id="xor-counts"),
     pytest.param(lambda: BooleanFunction.zero(3) & X1X2, ValueError,
@@ -565,6 +583,8 @@ def test_degree_of_xor_bounded(n, s1, s2):
                  "variable count must be in [1, 26], got 0", id="anf-count"),
     pytest.param(lambda: AnfPolynomial(2, 1 << 4), ValueError,
                  "coefficient mask has bits beyond 2^n entries", id="anf-mask"),
+    pytest.param(lambda: AnfPolynomial(2, 1.0), TypeError,
+                 "'float' object cannot be interpreted as an integer", id="anf-float-mask"),
     pytest.param(lambda: AnfPolynomial(2, 1).degree_of_variable(3), ValueError,
                  "variable index 3 out of range for n=2", id="anf-variable-index"),
 ])
