@@ -18,7 +18,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import (
-    MAX_VARS, BooleanFunction, _coordinate_mask, _pack_bits, degree, walsh_transform,
+    MAX_VARS, BooleanFunction, _coordinate_mask, _integer, _pack_bits, degree,
+    walsh_transform,
 )
 from .errors import PremiseError
 
@@ -175,8 +176,8 @@ def bounds_report(n: int, resiliency: int) -> BoundsReport:
     the largest multiple of 2^(m+1) under the universal bound for odd n.
     (n-1)-resilient functions are affine: degree 1, nonlinearity 0.
     """
-    if resiliency < -1:
-        raise ValueError("resiliency is at least -1 by convention")
+    n = _integer(n, "variable count", 1, MAX_VARS)
+    resiliency = _integer(resiliency, "resiliency", -1)
     caps = [_universal_nonlinearity_cap(n)]
     if resiliency >= n - 1:
         deg_cap = 1

@@ -23,7 +23,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import dual, is_bent, is_resilient, nonlinearity, walsh_transform
-from .core import MAX_VARS, BooleanFunction, _mask_bytes, _pack_bits, _table_bytes
+from .core import (
+    MAX_VARS, BooleanFunction, _integer, _mask_bytes, _pack_bits, _table_bytes,
+)
 from .errors import PremiseError
 from .galois import GaloisField
 
@@ -40,16 +42,17 @@ def _require_bent(*named: tuple[str, BooleanFunction]) -> None:
             raise PremiseError(f"{name} must be bent")
 
 
-def _require_resilient(order: int, *named: tuple[str, BooleanFunction]) -> None:
-    """Raise PremiseError at the first (name, function) not order-resilient;
-    an order below -1, the resiliency of every function, is a bad parameter.
-    Orders 0 and 1 are decided from table weights (see is_resilient); only
-    an order of 2 or more computes a premise's spectrum."""
-    if order < -1:
-        raise PremiseError(f"resiliency order {order} is below -1")
+def _require_resilient(label: str, order: int, *named: tuple) -> int:
+    """The order, read as the integer argument `label`, once every (name,
+    function) is order-resilient; PremiseError at the first that is not.
+    An order below -1, the resiliency of every function, is a bad
+    parameter.  Orders 0 and 1 are decided from table weights (see
+    is_resilient); only an order of 2 or more computes a spectrum."""
+    order = _integer(order, label, -1)
     for name, fn in named:
         if not is_resilient(fn, order):
             raise PremiseError(f"{name} is not {order}-resilient")
+    return order
 
 
 def _with_xor(side: str, a: BooleanFunction, b: BooleanFunction, c: BooleanFunction):
@@ -77,10 +80,9 @@ class PermutationMap:
         images = tuple(map(operator.index, images))
         size = len(images)
         k = size.bit_length() - 1
-        if size != 1 << k or k < 1:
+        if k < 1 or size != 1 << k:
             raise ValueError(f"image count must be a power of two >= 2, got {size}")
-        if r is None:
-            r = k
+        r = k if r is None else _integer(r, "r", 1, MAX_VARS)
         if any(not 0 <= v < (1 << r) for v in images):
             raise ValueError(f"images must lie in [0, 2^{r})")
         self.k = k
@@ -115,13 +117,10 @@ class LinearSubspace:
     __slots__ = ("k", "basis")
 
     def __init__(self, k: int, vectors: Sequence[int] = ()):
-        if not 1 <= k <= MAX_VARS:
-            raise ValueError(f"ambient dimension must be in [1, {MAX_VARS}]")
+        k = _integer(k, "ambient dimension", 1, MAX_VARS)
         rows: list[int] = []
         for v in vectors:
-            v = operator.index(v)
-            if not 0 <= v < (1 << k):
-                raise ValueError(f"vector {v} outside F_2^{k}")
+            v = _integer(v, "vector", 0, (1 << k) - 1)
             for r in rows:
                 if v ^ r < v:
                     v ^= r
@@ -343,8 +342,8 @@ def rothaus(
 
 def _check_coordinates(mu: int, n: int, rho: int, m: int) -> None:
     """An out-of-range coordinate is a bad parameter, reported before any premise."""
-    if not (1 <= mu <= n and 1 <= rho <= m):
-        raise ValueError(f"mu must be in [1, {n}] and rho in [1, {m}], got {mu}, {rho}")
+    _integer(mu, "mu", 1, n)
+    _integer(rho, "rho", 1, m)
 
 
 def _halves(
@@ -576,8 +575,8 @@ def generalized_indirect_sum(
         if t is None or k is None:
             raise ValueError("resilient mode needs both t and k")
         fs, gs = _with_xor("f", f1, f2, f3), _with_xor("g", g1, g2, g3)
-        _require_resilient(t, *fs)
-        _require_resilient(k, *gs)
+        _require_resilient("t", t, *fs)
+        _require_resilient("k", k, *gs)
     elif mode == "bent":
         gs = _with_xor("g", g1, g2, g3)
         BentTriple(f1, f2, f3)
@@ -628,12 +627,12 @@ def _certified_sum(
     triple: BentTriple, gs: tuple, k: int, named_seeds: tuple, equality: bool
 ) -> tuple[BooleanFunction, ResilientSumCertificate]:
     """The generalized indirect sum of triple with gs = (g1, g2, g3) and its
-    certificate, once k < m-1 and the k-resiliency of the (name, seed) pairs
-    hold; the nonlinearity bound uses the largest |W| among the seeds."""
+    certificate, once the k-resiliency of the (name, seed) pairs and
+    k < m-1 hold; the nonlinearity bound uses the largest |W| among the seeds."""
     n, m = triple.n, gs[0].n
+    k = _require_resilient("k", k, *named_seeds)
     if not k < m - 1:
         raise PremiseError(f"need k < m-1, got k={k}, m={m}")
-    _require_resilient(k, *named_seeds)
     h = generalized_indirect_sum(triple.f1, triple.f2, triple.f3, *gs)
     spread = max(walsh_transform(s).max_abs for _, s in named_seeds)
     bound = (1 << (n + m - 1)) - (1 << (n // 2 - 1)) * spread

@@ -12,6 +12,7 @@ support scans.
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Sequence
 
@@ -25,28 +26,41 @@ from .errors import TruthTableFormatError
 MAX_VARS = 26
 
 
+def _integer(value, name: str, lo=-math.inf, hi=math.inf) -> int:
+    """The scalar argument `name` read with operator.index, so a NumPy
+    integer counts and a float, None or str is a TypeError; a bool counts
+    only as a bit, where [lo, hi] is [0, 1].  Outside [lo, hi] is a
+    ValueError.  Every scalar integer argument of the package is read here."""
+    try:
+        if value.__class__ is bool and (lo, hi) != (0, 1):
+            raise TypeError
+        v = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if not lo <= v <= hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}], got {v}")
+    return v
+
+
 def encode_point(x: Sequence[int]) -> int:
     """Map a bit vector (x_1, ..., x_n) to its table index."""
     i = 0
     for b in x:
-        if b not in (0, 1):
-            raise ValueError(f"vector entries must be bits, got {b!r}")
-        i = (i << 1) | b
+        i = (i << 1) | _integer(b, "vector entry", 0, 1)
     return i
 
 
 def decode_point(i: int, n: int) -> tuple[int, ...]:
     """Inverse of encode_point for n variables."""
+    n = _integer(n, "variable count", 1, MAX_VARS)
+    i = _integer(i, "index", 0, (1 << n) - 1)
     return tuple((i >> (n - j)) & 1 for j in range(1, n + 1))
 
 
 def _as_index(a, n: int) -> int:
     """Accept a point either as a bit vector of length n or a raw index."""
-    if isinstance(a, (int, np.integer)):
-        a = int(a)
-        if not 0 <= a < (1 << n):
-            raise ValueError(f"index {a} out of range for n={n}")
-        return a
+    if not hasattr(a, "__iter__"):
+        return _integer(a, "index", 0, (1 << n) - 1)
     vec = tuple(a)
     if len(vec) != n:
         raise ValueError(f"expected a vector of length {n}, got {len(vec)}")
@@ -106,8 +120,7 @@ class BooleanFunction:
     __slots__ = ("_n", "_mask", "_spectrum", "_weight")
 
     def __init__(self, n: int, table):
-        if not 1 <= n <= MAX_VARS:
-            raise ValueError(f"variable count must be in [1, {MAX_VARS}], got {n}")
+        n = _integer(n, "variable count", 1, MAX_VARS)
         size = 1 << n
         if isinstance(table, (int, np.integer)):
             mask = int(table)
@@ -133,21 +146,20 @@ class BooleanFunction:
 
     @classmethod
     def constant(cls, n: int, bit: int) -> "BooleanFunction":
-        return cls(n, ((1 << (1 << n)) - 1) if bit else 0)
+        return cls.linear(n, 0, bit)
 
     @classmethod
     def variable(cls, n: int, j: int) -> "BooleanFunction":
         """The coordinate function x_j."""
-        if not 1 <= j <= n:
-            raise ValueError(f"variable index {j} out of range for n={n}")
-        return cls.linear(n, 1 << (n - j))
+        n = _integer(n, "variable count", 1, MAX_VARS)
+        return cls.linear(n, 1 << (n - _integer(j, "variable index", 1, n)))
 
     @classmethod
     def linear(cls, n: int, mask: int, const: int = 0) -> "BooleanFunction":
         """The affine function x -> mask.x (+ const), mask index-encoded."""
-        if not 0 <= mask < (1 << n):
-            raise ValueError(f"linear mask {mask} out of range for n={n}")
-        table = ((1 << (1 << n)) - 1) if const else 0
+        n = _integer(n, "variable count", 1, MAX_VARS)
+        mask = _integer(mask, "linear mask", 0, (1 << n) - 1)
+        table = ((1 << (1 << n)) - 1) * _integer(const, "constant", 0, 1)
         for s in range(n):
             if (mask >> s) & 1:
                 table ^= _coordinate_mask(n, s)
@@ -176,7 +188,7 @@ class BooleanFunction:
 
     def bit(self, i: int) -> int:
         """Table value at index i."""
-        return (self._mask >> i) & 1
+        return (self._mask >> _integer(i, "index", 0, (1 << self._n) - 1)) & 1
 
     def evaluate(self, x: Sequence[int]) -> int:
         vec = tuple(x)
@@ -251,12 +263,8 @@ class BooleanFunction:
         """Fix x_j = b; remaining variables keep their relative order."""
         if self._n < 2:
             raise ValueError("cannot restrict a 1-variable function")
-        if not 1 <= j <= self._n:
-            raise ValueError(f"variable index {j} out of range for n={self._n}")
-        bit = int(b) if isinstance(b, (int, np.integer)) else None
-        if bit not in (0, 1):
-            raise ValueError(f"restriction value must be a bit, got {b!r}")
-        p = self._n - j  # bit position of x_j inside the index
+        p = self._n - _integer(j, "variable index", 1, self._n)  # x_j's index bit
+        bit = _integer(b, "restriction value", 0, 1)
         raw = self._mask.to_bytes(_table_bytes(self._n), "little")
         if p >= 3:  # each half is a run of 2^(p-3) whole bytes
             rows = np.frombuffer(raw, np.uint8).reshape(-1, 2, 1 << (p - 3))
@@ -345,6 +353,7 @@ class WalshSpectrum:
     __slots__ = ("n", "values", "_max_abs")
 
     def __init__(self, n: int, values: np.ndarray):
+        n = _integer(n, "variable count", 1, MAX_VARS)
         values = np.asarray(values, dtype=np.int64)
         if values.shape != (1 << n,):
             raise ValueError(f"spectrum length must be {1 << n}")
@@ -518,9 +527,8 @@ class AnfPolynomial:
     __slots__ = ("n", "mask")
 
     def __init__(self, n: int, mask: int):
-        if not 1 <= n <= MAX_VARS:
-            raise ValueError(f"variable count must be in [1, {MAX_VARS}], got {n}")
-        mask = operator.index(mask)
+        n = _integer(n, "variable count", 1, MAX_VARS)
+        mask = _integer(mask, "coefficient mask")
         if mask < 0 or mask >> (1 << n):
             raise ValueError("coefficient mask has bits beyond 2^n entries")
         self.n = n
@@ -551,8 +559,7 @@ class AnfPolynomial:
 
     def degree_of_variable(self, i: int) -> int:
         """Size of the longest monomial containing x_i (0 if x_i absent)."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"variable index {i} out of range for n={self.n}")
+        i = _integer(i, "variable index", 1, self.n)
         # the monomials that hold x_i, whose index has bit n - i set
         holding = self.mask & _coordinate_mask(self.n, self.n - i)
         return AnfPolynomial(self.n, holding).degree

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import _integer
+
 MAX_DEGREE = 16
 
 
@@ -48,9 +50,7 @@ class GaloisField:
     __slots__ = ("m", "reduction_poly", "order", "exp", "log")
 
     def __init__(self, m: int):
-        if not 1 <= m <= MAX_DEGREE:
-            raise ValueError(f"extension degree must be in [1, {MAX_DEGREE}], got {m}")
-        self.m = m
+        self.m = m = _integer(m, "extension degree", 1, MAX_DEGREE)
         self.reduction_poly = smallest_irreducible(m)
         self.order = 1 << m
         self.exp, self.log = self._tables()
@@ -70,13 +70,9 @@ class GaloisField:
         log[exp] = np.arange(self.order - 1)
         return exp, log
 
-    def _check(self, *elems: int) -> None:
-        for e in elems:
-            if not 0 <= e < self.order:
-                raise ValueError(f"{e} is not an element of GF(2^{self.m})")
-
     def mul(self, p: int, q: int) -> int:
-        self._check(p, q)
+        p = _integer(p, "element", 0, self.order - 1)
+        q = _integer(q, "element", 0, self.order - 1)
         acc = 0
         while q:
             if q & 1:
@@ -88,22 +84,20 @@ class GaloisField:
         return acc
 
     def inv(self, p: int) -> int:
-        self._check(p)
+        p = _integer(p, "element", 0, self.order - 1)
         if p == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return int(self.exp[-self.log[p]])  # g^(-k) = exp[order - 1 - k]
 
     def div(self, p: int, q: int) -> int:
         """p/q with the convention p/0 = 0."""
-        self._check(p, q)
-        if q == 0:
-            return 0
-        return self.mul(p, self.inv(q))
+        p = _integer(p, "element", 0, self.order - 1)
+        q = _integer(q, "element", 0, self.order - 1)
+        return self.mul(p, self.inv(q)) if q else 0
 
     def trace(self, p: int) -> int:
         """Absolute trace sum_{i<m} p^(2^i); always lands in {0, 1}."""
-        self._check(p)
-        acc = p
+        acc = p = _integer(p, "element", 0, self.order - 1)
         t = p
         for _ in range(self.m - 1):
             t = self.mul(t, t)

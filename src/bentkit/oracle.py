@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .analysis import is_bent, is_resilient, nonlinearity, resiliency_report
-from .core import BooleanFunction, WalshSpectrum, walsh_transform
+from .core import BooleanFunction, WalshSpectrum, _integer, walsh_transform
 from .errors import CapError
 
 WALSH_CAP = 14
@@ -84,8 +84,7 @@ def correlation_immune_by_definition(f: BooleanFunction, r: int) -> bool:
     weight wt(f)/2^r."""
     if f.n > RESILIENCY_CAP:
         raise CapError(f"definition-level resiliency capped at n={RESILIENCY_CAP}")
-    if not 0 <= r <= f.n:
-        raise ValueError(f"order r={r} out of range for n={f.n}")
+    r = _integer(r, "order r", 0, f.n)
     total = f.weight
     if total % (1 << r):
         return False
@@ -110,8 +109,7 @@ def correlation_immune_by_definition(f: BooleanFunction, r: int) -> bool:
 
 def resiliency_by_definition(f: BooleanFunction, r: int) -> bool:
     """True iff f is r-resilient: balanced plus r-th order independence."""
-    if not 0 <= r <= f.n:
-        raise ValueError(f"order r={r} out of range for n={f.n}")
+    r = _integer(r, "order r", 0, f.n)
     if not f.is_balanced:
         if f.n > RESILIENCY_CAP:
             raise CapError(

@@ -17,7 +17,7 @@ from .constructions import (
     mm_function,
     psap_bent,
 )
-from .core import BooleanFunction
+from .core import BooleanFunction, _integer
 from .galois import GaloisField
 from .analysis import is_resilient
 
@@ -31,7 +31,7 @@ class XorShift64Star:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK64 or 0x9E3779B97F4A7C15
+        self.state = _integer(seed, "seed") & _MASK64 or 0x9E3779B97F4A7C15
 
     def next_u64(self) -> int:
         x = self.state

@@ -440,7 +440,7 @@ def test_resiliency_report_of_a_constant_function():
 
 @pytest.mark.parametrize("call, error, fragment", [
     pytest.param(lambda: bounds_report(6, -2), ValueError,
-                 "resiliency is at least -1 by convention", id="bounds-order"),
+                 "resiliency must be in [-1, inf], got -2", id="bounds-order"),
     pytest.param(lambda: complementary_plateaued(BooleanFunction.zero(3),
                                                  BooleanFunction.zero(5)),
                  ValueError, "inputs must share a variable count, got 3 and 5",

@@ -353,12 +353,12 @@ _TRIPLE = ("--f1", "--f2", "--f3")
         lambda t: ["resilient-indirect-sum", "--k", "-5",
                    *(x for flag in (*_TRIPLE, "--g1", "--g2", "--g3")
                      for x in (flag, put(t, "f.tt", MM4)))],
-        3, "resiliency order -5 is below -1", id="k-below-minus-one"),
+        3, "k must be in [-1, inf], got -5", id="k-below-minus-one"),
     pytest.param(
         lambda t: ["resilient-indirect-sum-pair", "--k", "-5",
                    *(x for flag in (*_TRIPLE, "--p", "--q")
                      for x in (flag, put(t, "f.tt", MM4)))],
-        3, "resiliency order -5 is below -1", id="k-below-minus-one-pair"),
+        3, "k must be in [-1, inf], got -5", id="k-below-minus-one-pair"),
     pytest.param(  # zero tables: no triple member is bent, but the size comes first
         lambda t: ["resilient-indirect-sum", "--k", "0",
                    *(x for flag in (*_TRIPLE, "--g1", "--g2", "--g3")

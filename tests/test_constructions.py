@@ -938,7 +938,7 @@ def test_walsh_case_agrees_with_the_ladder_form(n):
             got = walsh_case(triple, alpha)
             assert got == reference_walsh_case(triple, alpha), alpha
             assert walsh_case(triple, decode_point(alpha, n)) == got, alpha
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=re.escape(f"must be in [0, {(1 << n) - 1}]")):
             walsh_case(triple, 1 << n)
         with pytest.raises(ValueError, match="expected a vector of length"):
             walsh_case(triple, (0,) * (n + 1))
@@ -1109,16 +1109,35 @@ def test_resiliency_order_below_minus_one_is_a_bad_parameter():
     rng = XorShift64Star(138)
     triple, _ = random_derivative_triple(6, rng)
     g = random_mm_bent(4, rng)
-    with pytest.raises(PremiseError, match="order -2 is below -1"):
+    with pytest.raises(ValueError, match=re.escape("k must be in [-1, inf], got -2")):
         resilient_indirect_sum(triple, g, g, g, -2)
-    with pytest.raises(PremiseError, match="order -5 is below -1"):
+    with pytest.raises(ValueError, match=re.escape("k must be in [-1, inf], got -5")):
         resilient_indirect_sum_from_pair(triple, g, g, 1, -5)
-    with pytest.raises(PremiseError, match="order -3 is below -1"):
+    with pytest.raises(ValueError, match=re.escape("k must be in [-1, inf], got -3")):
         generalized_indirect_sum(
             triple.f1, triple.f2, triple.f3, g, g, g, mode="resilient", t=-1, k=-3
         )
     h, cert = resilient_indirect_sum(triple, g, g, g, -1)
     assert cert.resiliency == -1
+
+
+@pytest.mark.parametrize("order", [0.5, True])
+def test_a_resiliency_order_must_be_an_integer(order):
+    # the seeds are 1-resilient, so an order read as a number would pass
+    # their premises and be stated in the certificate
+    triple, gs = BentTriple(*_bent3(4)), _resilient3(5, 1)
+    calls = {
+        "k": [
+            lambda: resilient_indirect_sum(triple, *gs, order),
+            lambda: resilient_indirect_sum_from_pair(triple, *gs[:2], 1, order),
+            lambda: generalized_indirect_sum(*gs, *gs, mode="resilient", t=0, k=order),
+        ],
+        "t": [lambda: generalized_indirect_sum(*gs, *gs, mode="resilient", t=order, k=0)],
+    }
+    for name, builds in calls.items():
+        for build in builds:
+            with pytest.raises(TypeError, match=re.escape(f"{name} must be an integer")):
+                build()
 
 
 def test_plateaued_propagation_through_resilient_sum():
@@ -1224,7 +1243,7 @@ def _one_off(fs, other):
                  "share a variable count, got 4 and 6", id="derivative-triple"),
     pytest.param(lambda: partial(resilient_indirect_sum_from_pair, BentTriple(*_bent3(4)),
                                  *_resilient3(4, 1)[:2], 5, 1),
-                 "variable index 5 out of range for n=4", id="pair-coordinate"),
+                 "variable index must be in [1, 4], got 5", id="pair-coordinate"),
 ])
 def test_bad_arguments_are_caught_before_any_spectrum(monkeypatch, build, message):
     call = build()
@@ -1285,7 +1304,7 @@ def test_is_bent_answers_odd_counts_without_a_spectrum(monkeypatch):
     pytest.param(lambda: LinearSubspace(0), ValueError,
                  "ambient dimension must be in [1, 26]", id="subspace-dimension"),
     pytest.param(lambda: LinearSubspace(3, [8]), ValueError,
-                 "vector 8 outside F_2^3", id="subspace-vector"),
+                 "vector must be in [0, 7], got 8", id="subspace-vector"),
     pytest.param(lambda: mm_function(PermutationMap.identity(2), BooleanFunction.zero(3)),
                  ValueError, "u must have 2 variables, got 3", id="mm-u-size"),
     pytest.param(lambda: psap_bent(GaloisField(2), [0, 1, 2, 1]), ValueError,
@@ -1368,22 +1387,22 @@ def test_output_size_is_checked_before_any_premise(build):
 
 # Each call has an out-of-range coordinate and also breaks a premise of its
 # builder: non-bent inputs, or maps that are not permutations.
-@pytest.mark.parametrize("build", [
+@pytest.mark.parametrize("build, message", [
     pytest.param(lambda: restricted_indirect_sum(*_zeros(4, 1), 99, *_zeros(4, 1), 1),
-                 id="restricted-indirect-sum"),
+                 "mu must be in", id="restricted-indirect-sum"),
     pytest.param(lambda: restricted_indirect_sum(*_zeros(4, 1), 1, *_zeros(6, 1), 0),
-                 id="restricted-indirect-sum-rho"),
+                 "rho must be in [1, 6], got 0", id="restricted-indirect-sum-rho"),
     pytest.param(lambda: restricted_indirect_sum_dual(*_zeros(4, 1), 0, *_zeros(4, 1), 1),
-                 id="restricted-indirect-sum-dual"),
+                 "mu must be in", id="restricted-indirect-sum-dual"),
     pytest.param(lambda: mm_restricted_sum(_flat_map(2), _flat_map(3), 3, 1,
                                            *_zeros(2, 1), *_zeros(3, 1)),
-                 id="mm-restricted-sum"),
+                 "mu must be in", id="mm-restricted-sum"),
     pytest.param(lambda: class_d_restricted_sum(
         _flat_map(2), LinearSubspace.zero(2), LinearSubspace.zero(2),
         _flat_map(2), LinearSubspace.zero(2), LinearSubspace.zero(2), 1, 3),
-                 id="class-d-restricted-sum"),
+                 "rho must be in [1, 2], got 3", id="class-d-restricted-sum"),
 ])
-def test_coordinates_are_checked_before_any_premise(build):
-    with pytest.raises(ValueError, match="mu must be in") as exc:
+def test_coordinates_are_checked_before_any_premise(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as exc:
         build()
     assert type(exc.value) is ValueError  # not a PremiseError

@@ -556,23 +556,40 @@ def test_degree_of_xor_bounded(n, s1, s2):
 
 @pytest.mark.parametrize("call, error, fragment", [
     pytest.param(lambda: encode_point((0, 2)), ValueError,
-                 "vector entries must be bits, got 2", id="encode-point-non-bit"),
+                 "vector entry must be in [0, 1], got 2", id="encode-point-non-bit"),
+    pytest.param(lambda: decode_point(8, 3), ValueError,
+                 "index must be in [0, 7], got 8", id="decode-point-above"),
+    pytest.param(lambda: decode_point(-1, 3), ValueError,
+                 "index must be in [0, 7], got -1", id="decode-point-negative"),
     pytest.param(lambda: BooleanFunction(2, 1 << 4), ValueError,
                  "table mask has bits beyond 2^n entries", id="mask-too-wide"),
     pytest.param(lambda: BooleanFunction(2, -1), ValueError,
                  "table mask has bits beyond 2^n entries", id="mask-negative"),
+    pytest.param(lambda: BooleanFunction(True, 1), TypeError,
+                 "variable count must be an integer, got True", id="bool-count"),
     pytest.param(lambda: BooleanFunction(2, [0, 1]), ValueError,
                  "table length must be 4, got shape (2,)", id="table-too-short"),
     pytest.param(lambda: BooleanFunction.variable(3, 4), ValueError,
-                 "variable index 4 out of range for n=3", id="variable-index"),
+                 "variable index must be in [1, 3], got 4", id="variable-index"),
     pytest.param(lambda: BooleanFunction.linear(3, 8), ValueError,
-                 "linear mask 8 out of range for n=3", id="linear-mask"),
+                 "linear mask must be in [0, 7], got 8", id="linear-mask"),
+    pytest.param(lambda: BooleanFunction.linear(3, 1, 0.5), TypeError,
+                 "constant must be an integer, got 0.5", id="linear-float-constant"),
+    pytest.param(lambda: BooleanFunction.constant(3, 2), ValueError,
+                 "constant must be in [0, 1], got 2", id="constant-two"),
+    pytest.param(lambda: BooleanFunction.constant(3, "0"), TypeError,
+                 "constant must be an integer, got '0'", id="constant-string"),
+    pytest.param(lambda: BooleanFunction.zero(3).bit(100), ValueError,
+                 "index must be in [0, 7], got 100", id="bit-above"),
+    pytest.param(lambda: BooleanFunction.zero(3).bit(-1), ValueError,
+                 "index must be in [0, 7], got -1", id="bit-negative"),
     pytest.param(lambda: X1X2.restrict(1, 2), ValueError,
-                 "restriction value must be a bit, got 2", id="restrict-value"),
-    pytest.param(lambda: X1X2.restrict(1, 1.0), ValueError,
-                 "restriction value must be a bit, got 1.0", id="restrict-float"),
-    pytest.param(lambda: X1X2.restrict(1, np.True_), ValueError,
-                 "restriction value must be a bit, got np.True_", id="restrict-numpy-bool"),
+                 "restriction value must be in [0, 1], got 2", id="restrict-value"),
+    pytest.param(lambda: X1X2.restrict(1, 1.0), TypeError,
+                 "restriction value must be an integer, got 1.0", id="restrict-float"),
+    pytest.param(lambda: X1X2.restrict(1, np.True_), TypeError,
+                 "restriction value must be an integer, got np.True_",
+                 id="restrict-numpy-bool"),
     pytest.param(lambda: X1X2 ^ BooleanFunction.zero(3), ValueError,
                  "inputs must share a variable count, got 2 and 3", id="xor-counts"),
     pytest.param(lambda: BooleanFunction.zero(3) & X1X2, ValueError,
@@ -584,9 +601,9 @@ def test_degree_of_xor_bounded(n, s1, s2):
     pytest.param(lambda: AnfPolynomial(2, 1 << 4), ValueError,
                  "coefficient mask has bits beyond 2^n entries", id="anf-mask"),
     pytest.param(lambda: AnfPolynomial(2, 1.0), TypeError,
-                 "'float' object cannot be interpreted as an integer", id="anf-float-mask"),
+                 "coefficient mask must be an integer, got 1.0", id="anf-float-mask"),
     pytest.param(lambda: AnfPolynomial(2, 1).degree_of_variable(3), ValueError,
-                 "variable index 3 out of range for n=2", id="anf-variable-index"),
+                 "variable index must be in [1, 2], got 3", id="anf-variable-index"),
 ])
 def test_bad_arguments_raise_with_a_message(call, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)) as exc:

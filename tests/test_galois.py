@@ -107,7 +107,7 @@ def test_exp_log_tables_are_inverse_bijections(m):
 
 @pytest.mark.parametrize("call, error, fragment", [
     pytest.param(lambda: GaloisField(3).mul(8, 1), ValueError,
-                 "8 is not an element of GF(2^3)", id="mul-outside-field"),
+                 "element must be in [0, 7], got 8", id="mul-outside-field"),
 ])
 def test_bad_arguments_raise_with_a_message(call, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)) as exc:

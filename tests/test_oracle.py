@@ -177,9 +177,9 @@ def test_verify_reports():
     pytest.param(lambda: correlation_immune_by_definition(BooleanFunction.zero(11), 1),
                  CapError, "definition-level resiliency capped at n=10", id="ci-cap"),
     pytest.param(lambda: correlation_immune_by_definition(X1X2, 3), ValueError,
-                 "order r=3 out of range for n=2", id="ci-order"),
+                 "order r must be in [0, 2], got 3", id="ci-order"),
     pytest.param(lambda: resiliency_by_definition(X1X2, -1), ValueError,
-                 "order r=-1 out of range for n=2", id="resiliency-order"),
+                 "order r must be in [0, 2], got -1", id="resiliency-order"),
 ])
 def test_bad_arguments_raise_with_a_message(call, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)) as exc:

@@ -1,6 +1,7 @@
 """The package surface: lazy re-exports, the program's entry point and
 its OpenBLAS thread default."""
 
+import ast
 import importlib
 import os
 import re
@@ -63,6 +64,14 @@ def test_every_old_export_resolves():
     assert set(bentkit.__all__) == set(EXPORTED) - {"__version__"}
     with pytest.raises(AttributeError):
         bentkit.no_such_name  # noqa: B018
+
+
+def test_no_module_checks_with_assert():
+    # python -O strips assert statements, and every check must survive it
+    for path in sorted((ROOT / "src" / "bentkit").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} asserts on lines {lines}"
 
 
 def test_submodules_resolve_as_attributes():
