@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import operator
 import os
 import sys
 from pathlib import Path
@@ -22,6 +21,7 @@ from pathlib import Path
 from . import analysis, constructions, oracle, rand
 from .core import (
     BooleanFunction,
+    _integer,
     mobius,
     parse_truth_table,
     serialize_truth_table,
@@ -129,17 +129,15 @@ def _param_function(value, rng, n_random: int, label: str) -> BooleanFunction:
     raise PremiseError(f"parameter {label} must be a file path or \"random\"")
 
 
-def _param_map(
-    value, rng, k: int | None, label: str, fix_zero: bool = False
-) -> constructions.PermutationMap:
+def _param_map(p: dict, label: str, key: str, rng, fix_zero: bool = False):
+    value = p.get(label, "random")
     if value == "random":
-        if k is None:
-            raise PremiseError(f"cannot draw {label} at random: set \"k\"")
+        if key not in p:
+            raise PremiseError(f"cannot draw {label} at random: set \"{key}\"")
+        k = _integer(p[key], key, 1)
         constructions.check_total(2 * k)  # before drawing 2^k images
         return rand.random_permutation(k, rng, fix_zero=fix_zero)
-    if isinstance(value, list):
-        return constructions.PermutationMap(value)
-    raise PremiseError(f"parameter {label} must be an image list or \"random\"")
+    return constructions.PermutationMap(value)
 
 
 def _params(path: str | None) -> dict:
@@ -175,8 +173,8 @@ def _element_pair(value, label: str) -> tuple[int, int]:
     """A pair of field elements; strings may use 0x.. hex notation."""
     try:
         a, b = value
-        return (int(a, 0) if isinstance(a, str) else operator.index(a),
-                int(b, 0) if isinstance(b, str) else operator.index(b))
+        return (int(a, 0) if isinstance(a, str) else _integer(a, label),
+                int(b, 0) if isinstance(b, str) else _integer(b, label))
     except (TypeError, ValueError) as exc:
         raise PremiseError(f"parameter {label} must be a pair of elements") from exc
 
@@ -231,7 +229,7 @@ def _restricted_indirect_sum(a, p, rng):
 
 
 def _mm(a, p, rng):
-    phi = _param_map(p.get("phi", "random"), rng, p.get("k"), "phi")
+    phi = _param_map(p, "phi", "k", rng)
     u = _param_function(p.get("u", "random"), rng, phi.k, "u")
     return _bent(constructions.mm_function(phi, u, require_bent=True))
 
@@ -245,14 +243,14 @@ def _psap(a, p, rng):
 
 
 def _class_d(a, p, rng):
-    phi = _param_map(p.get("phi", "random"), rng, p["k"], "phi", fix_zero=True)
+    phi = _param_map(p, "phi", "k", rng, fix_zero=True)
     e1, e2 = _subspaces(p, phi, "e1", "e2")
     return _bent(constructions.class_d_bent(phi, e1, e2))
 
 
 def _mm_restricted_sum(a, p, rng):
-    phi = _param_map(p.get("phi", "random"), rng, p.get("k_f"), "phi")
-    psi = _param_map(p.get("psi", "random"), rng, p.get("k_g"), "psi")
+    phi = _param_map(p, "phi", "k_f", rng)
+    psi = _param_map(p, "psi", "k_g", rng)
     u = _param_function(p.get("u", "random"), rng, phi.k, "u")
     v = _param_function(p.get("v", "random"), rng, psi.k, "v")
     return _bent(constructions.mm_restricted_sum(phi, psi, a.mu, a.rho, u, v))
@@ -269,8 +267,8 @@ def _psap_restricted_sum(a, p, rng):
 
 
 def _class_d_restricted_sum(a, p, rng):
-    phi = _param_map(p.get("phi", "random"), rng, p["k_f"], "phi", fix_zero=True)
-    psi = _param_map(p.get("psi", "random"), rng, p["k_g"], "psi", fix_zero=True)
+    phi = _param_map(p, "phi", "k_f", rng, fix_zero=True)
+    psi = _param_map(p, "psi", "k_g", rng, fix_zero=True)
     e1, e2 = _subspaces(p, phi, "e1", "e2")
     xi1, xi2 = _subspaces(p, psi, "xi1", "xi2")
     h = constructions.class_d_restricted_sum(phi, e1, e2, psi, xi1, xi2, a.mu, a.rho)
@@ -341,6 +339,9 @@ def cmd_build(args) -> int:
             raise TruthTableFormatError(f"missing --{flag} for {name}")
     p = _params(args.param_file)
     _reject_booleans(p, name)
+    for key in ("phi", "psi", "theta", "vartheta", "e1", "e2", "xi1", "xi2"):
+        if not isinstance(p.get(key, ""), (list, str)):  # a list or a word
+            raise PremiseError(f"malformed parameters for {name}: {key!r} is not a list")
     for key in keys:
         if key not in p:
             raise PremiseError(f"missing parameter {key!r} for {name}")

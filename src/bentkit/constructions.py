@@ -16,7 +16,6 @@ pure and deterministic.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
@@ -77,28 +76,26 @@ class PermutationMap:
     __slots__ = ("k", "r", "images")
 
     def __init__(self, images: Sequence[int], r: Optional[int] = None):
-        images = tuple(map(operator.index, images))
+        images = tuple(images)
         size = len(images)
         k = size.bit_length() - 1
         if k < 1 or size != 1 << k:
             raise ValueError(f"image count must be a power of two >= 2, got {size}")
         r = k if r is None else _integer(r, "r", 1, MAX_VARS)
-        if any(not 0 <= v < (1 << r) for v in images):
-            raise ValueError(f"images must lie in [0, 2^{r})")
         self.k = k
         self.r = r
-        self.images = images
+        self.images = tuple([_integer(v, "image", 0, (1 << r) - 1) for v in images])
 
     @classmethod
     def identity(cls, k: int) -> "PermutationMap":
-        return cls(range(1 << k))
+        return cls(range(1 << _integer(k, "k", 1, MAX_VARS)))
 
     @property
     def is_permutation(self) -> bool:
         return self.r == self.k and len(set(self.images)) == len(self.images)
 
     def __call__(self, y: int) -> int:
-        return self.images[y]
+        return self.images[_integer(y, "index", 0, (1 << self.k) - 1)]
 
     def __eq__(self, other) -> bool:
         return (
@@ -143,6 +140,7 @@ class LinearSubspace:
 
     @classmethod
     def full(cls, k: int) -> "LinearSubspace":
+        k = _integer(k, "ambient dimension", 1, MAX_VARS)
         return cls(k, [1 << i for i in range(k)])
 
     @property
@@ -156,6 +154,7 @@ class LinearSubspace:
         return sorted(out)
 
     def contains(self, v: int) -> bool:
+        v = _integer(v, "vector", 0, (1 << self.k) - 1)
         for r in self.basis:
             if v ^ r < v:
                 v ^= r
@@ -217,8 +216,8 @@ def psap_bent(field: GaloisField, theta: Sequence[int]) -> BooleanFunction:
     """
     m = field.m
     check_total(2 * m)
-    bits = [operator.index(b) for b in theta]
-    if len(bits) != field.order or any(b not in (0, 1) for b in bits):
+    bits = [_integer(b, "theta entry", 0, 1) for b in theta]
+    if len(bits) != field.order:
         raise ValueError(f"theta must be a bit table over all {field.order} elements")
     if sum(bits) != field.order // 2:
         raise PremiseError("theta must be balanced on the field")

@@ -27,10 +27,10 @@ MAX_VARS = 26
 
 
 def _integer(value, name: str, lo=-math.inf, hi=math.inf) -> int:
-    """The scalar argument `name` read with operator.index, so a NumPy
+    """The integer argument `name` read with operator.index, so a NumPy
     integer counts and a float, None or str is a TypeError; a bool counts
     only as a bit, where [lo, hi] is [0, 1].  Outside [lo, hi] is a
-    ValueError.  Every scalar integer argument of the package is read here."""
+    ValueError.  Every integer is read here but BooleanFunction's arrays."""
     try:
         if value.__class__ is bool and (lo, hi) != (0, 1):
             raise TypeError
@@ -114,22 +114,24 @@ def _pack_bits(bits: np.ndarray) -> int:
 
 class BooleanFunction:
     """A function F_2^n -> F_2 held as a bit-packed truth table, built from
-    an int mask (bit i = value at index i) or from 2^n entries 0/1 in a
-    sequence or array; anything else is a ValueError."""
+    an integer mask (bit i = value at index i) or from 2^n entries 0/1 in an
+    integer or bool sequence or array; another type is a TypeError."""
 
     __slots__ = ("_n", "_mask", "_spectrum", "_weight")
 
     def __init__(self, n: int, table):
         n = _integer(n, "variable count", 1, MAX_VARS)
         size = 1 << n
-        if isinstance(table, (int, np.integer)):
-            mask = int(table)
-            if mask < 0 or mask >> size:
+        if not hasattr(table, "__len__"):
+            mask = _integer(table, "table mask", 0)
+            if mask >> size:
                 raise ValueError("table mask has bits beyond 2^n entries")
         else:
             bits = np.asarray(table)
             if bits.shape != (size,):
                 raise ValueError(f"table length must be {size}, got shape {bits.shape}")
+            if bits.dtype.kind not in "biu":  # _integer's rule on the whole array
+                raise TypeError(f"table entries must be bits (0 or 1), not {bits.dtype}")
             if np.count_nonzero((bits != 0) & (bits != 1)):
                 raise ValueError("table entries must be bits (0 or 1)")
             mask = _pack_bits(bits)

@@ -17,7 +17,7 @@ from .constructions import (
     mm_function,
     psap_bent,
 )
-from .core import BooleanFunction, _integer
+from .core import MAX_VARS, BooleanFunction, _integer
 from .galois import GaloisField
 from .analysis import is_resilient
 
@@ -42,8 +42,9 @@ class XorShift64Star:
         return (x * _MULT) & _MASK64
 
     def bits(self, k: int) -> int:
-        """A uniform k-bit integer: the top k bits of ceil(k / 64) words,
-        the first word drawn most significant."""
+        """A uniform k-bit integer, k at most 2^MAX_VARS (a whole table): the
+        top k bits of ceil(k / 64) words, the first word drawn most significant."""
+        k = _integer(k, "bit count", 0, 1 << MAX_VARS)
         if k <= 64:  # the common draw: one word, no join
             return self.next_u64() >> (64 - k) if k else 0
         words = -(-k // 64)
@@ -54,8 +55,7 @@ class XorShift64Star:
         """A uniform draw from [0, n): the top (n - 1).bit_length() bits of
         each word until one is below n, as `bits` draws them.  Up to 64
         bits the xorshift64* step runs inline, with no call per word."""
-        if n <= 0:
-            raise ValueError("empty range")
+        n = _integer(n, "range size", 1)
         k = (n - 1).bit_length()
         if k > 64:
             while True:
@@ -76,7 +76,8 @@ class XorShift64Star:
                 return v
 
     def randint(self, lo: int, hi: int) -> int:
-        return lo + self.randrange(hi - lo + 1)
+        lo = _integer(lo, "lower end")
+        return lo + self.randrange(_integer(hi, "upper end", lo) - lo + 1)
 
     def choice(self, seq):
         return seq[self.randrange(len(seq))]

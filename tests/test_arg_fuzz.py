@@ -1,8 +1,9 @@
-"""Fuzzing of the library's scalar arguments, in process.
+"""Fuzzing of the library's integer arguments and tables, in process.
 
 Every callable in `bentkit.__all__` is called with drawn arguments, and so
-is each method of BooleanFunction, AnfPolynomial, WalshSpectrum and
-GaloisField that takes an integer.  An integer argument is drawn in
+is each method of BooleanFunction, AnfPolynomial, WalshSpectrum,
+GaloisField, PermutationMap, LinearSubspace and XorShift64Star that takes
+an integer.  An integer argument, or an entry of a table, is drawn in
 range, out of range, or as a float, a bool, a NumPy scalar, None or a
 string; a function argument is one of a few functions of 1 to 8
 variables, so the variable counts of two arguments may differ.  Every
@@ -10,7 +11,8 @@ call must return or raise ValueError (PremiseError, CapError and
 TruthTableFormatError are ValueErrors) or TypeError, and no message may
 be an operator's error from inside the arithmetic, which names no
 argument.  New boundary cases go into these strategies, not into new
-rows of the per-module bad-call tables.
+rows of the per-module bad-call tables; those rows hold the wrong answers
+a call returns rather than raises, which the property cannot see.
 """
 
 import numpy as np
@@ -72,6 +74,7 @@ _KINDS = {
         LinearSubspace.zero(2), LinearSubspace.full(2), LinearSubspace(3, [1]),
     ]),
     "field": st.sampled_from([GaloisField(m) for m in (1, 2, 3)]),
+    "rng": st.integers(0, 9).map(XorShift64Star),
     "mode": st.sampled_from([None, "resilient", "bent", "plain"]),
     "variant": st.sampled_from(["00", "01", "10", "11", "02"]),
     "text": st.sampled_from(["n=2\nbits=6\n", "n=1\nbits=01\n"]) | st.text(max_size=8),
@@ -96,7 +99,11 @@ _CALLS = {
     # constructions
     "BentTriple": _FN3,
     "LinearSubspace": ("int", "ints"),
+    "LinearSubspace.full": ("int",),
+    "LinearSubspace.contains": ("subspace", "int"),
     "PermutationMap": ("ints", "int"),
+    "PermutationMap.identity": ("int",),
+    "PermutationMap.__call__": ("map", "int"),
     "ResilientSumCertificate": ("int",) * 4,
     "bent_triple_from_derivative": ("fn", "fn", "point"),
     "class_d_bent": ("map", "subspace", "subspace"),
@@ -156,12 +163,15 @@ _CALLS = {
     "resiliency_by_definition": ("fn", "int"),
     # rand
     "XorShift64Star": ("int",),
+    "XorShift64Star.bits": ("rng", "int"),
+    "XorShift64Star.randrange": ("rng", "int"),
+    "XorShift64Star.randint": ("rng", "int", "int"),
 }
 
 # what an operator raises when an unread argument reaches the arithmetic
 _BARE = (
     "unsupported operand type", "is not iterable", "negative shift count",
-    "not supported between instances",
+    "not supported between instances", "cannot be interpreted as an integer",
 )
 
 

@@ -337,6 +337,28 @@ _TRIPLE = ("--f1", "--f2", "--f3")
         lambda t: ["psap", "--param-file", put_json(t, {"theta": "random"})],
         3, "missing parameter 'm' for psap", id="missing-key"),
     pytest.param(
+        lambda t: ["mm-restricted-sum", "--param-file", put_json(t, {})],
+        3, 'cannot draw phi at random: set "k_f"', id="mm-restricted-sum-no-k-f"),
+    pytest.param(
+        lambda t: ["mm-restricted-sum", "--param-file", put_json(t, {"k_f": 2})],
+        3, 'cannot draw psi at random: set "k_g"', id="mm-restricted-sum-no-k-g"),
+    pytest.param(
+        lambda t: ["mm", "--param-file", put_json(t, {"k": -1})],
+        3, "k must be in [1, inf], got -1", id="mm-negative-k"),
+    pytest.param(
+        lambda t: ["mm", "--param-file", put_json(t, {"k": "3"})],
+        3, "k must be an integer, got '3'", id="mm-string-k"),
+    pytest.param(
+        lambda t: ["mm-restricted-sum", "--param-file",
+                   put_json(t, {"k_f": -2, "k_g": 2})],
+        3, "k_f must be in [1, inf], got -2", id="mm-restricted-sum-negative-k-f"),
+    pytest.param(
+        lambda t: ["psap", "--param-file", put_json(t, {"m": 2, "theta": None})],
+        3, "'theta' is not a list", id="theta-null"),
+    pytest.param(
+        lambda t: ["restricted-indirect-sum", "--mu", "abc"],
+        2, "argument --mu: invalid int value: 'abc'", id="mu-not-an-int"),
+    pytest.param(
         lambda t: ["indirect-sum", "--f1", put(t, "f.tt", MM4)],
         2, "missing --f2 for indirect-sum", id="missing-table-flag"),
     pytest.param(

@@ -1305,10 +1305,14 @@ def test_is_bent_answers_odd_counts_without_a_spectrum(monkeypatch):
                  "ambient dimension must be in [1, 26]", id="subspace-dimension"),
     pytest.param(lambda: LinearSubspace(3, [8]), ValueError,
                  "vector must be in [0, 7], got 8", id="subspace-vector"),
+    pytest.param(lambda: LinearSubspace(2).contains(7), ValueError,
+                 "vector must be in [0, 3], got 7", id="subspace-contains"),
+    pytest.param(lambda: PermutationMap([1, 0, 3, 2])(-1), ValueError,
+                 "index must be in [0, 3], got -1", id="map-negative-point"),
     pytest.param(lambda: mm_function(PermutationMap.identity(2), BooleanFunction.zero(3)),
                  ValueError, "u must have 2 variables, got 3", id="mm-u-size"),
     pytest.param(lambda: psap_bent(GaloisField(2), [0, 1, 2, 1]), ValueError,
-                 "theta must be a bit table over all 4 elements", id="psap-theta"),
+                 "theta entry must be in [0, 1], got 2", id="psap-theta"),
     pytest.param(lambda: class_d_bent(_flat_map(2), LinearSubspace.zero(2),
                                       LinearSubspace.zero(2)),
                  PremiseError, "class D needs a Boolean permutation", id="class-d-map"),

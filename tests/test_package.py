@@ -74,6 +74,27 @@ def test_no_module_checks_with_assert():
         assert not lines, f"{path.name} asserts on lines {lines}"
 
 
+def test_only_core_integer_calls_operator_index():
+    # core._integer is the one integer reader; any other use of
+    # operator.index would be a second reader with its own messages
+    found, uses = False, []
+    for path in sorted((ROOT / "src" / "bentkit").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            inside = path.name == "core.py" and getattr(top, "name", None) == "_integer"
+            for node in ast.walk(top):
+                if (isinstance(node, ast.ImportFrom) and node.module == "operator"
+                        and any(alias.name == "index" for alias in node.names)):
+                    uses.append(f"{path.name}:{node.lineno}")
+                elif (isinstance(node, ast.Attribute) and node.attr == "index"
+                      and isinstance(node.value, ast.Name) and node.value.id == "operator"):
+                    found |= inside
+                    if not inside:
+                        uses.append(f"{path.name}:{node.lineno}")
+    assert found, "core._integer no longer reads with operator.index"
+    assert not uses, f"operator.index outside core._integer at {uses}"
+
+
 def test_submodules_resolve_as_attributes():
     assert python("import bentkit; print(bentkit.analysis.__name__)") == "bentkit.analysis"
 

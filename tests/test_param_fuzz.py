@@ -5,9 +5,10 @@ Each key it reads is absent or holds a value of the right kind, which
 may be out of range or a number JSON reads oddly (NaN, a float for a
 count); at most one key holds a value of the wrong JSON type.
 Every run must end with exit 0, 2 or 3, and a nonzero exit prints
-exactly one `error:` line and no traceback.  Sizes are drawn small, or
-so large that the run must fail before any table is built, so no drawn
-build exceeds 10 variables.
+exactly one `error:` line and no traceback.  That line is never an
+operator's error from inside the arithmetic, which names no key.  Sizes
+are drawn small, or so large that the run must fail before any table is
+built, so no drawn build exceeds 10 variables.
 """
 
 import contextlib
@@ -18,6 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bentkit.cli import main
+from test_arg_fuzz import _BARE
 
 _JUNK = (
     st.none() | st.booleans() | st.floats() | st.text(max_size=3)
@@ -81,6 +83,9 @@ _DEEP = "[" * 50000 + "]" * 50000  # deeper than the JSON decoder can recurse
 @example(case=("class-d", '{"k": 2, "e2": [1e400]}'))
 @example(case=("psap", _DEEP))
 @example(case=("mm", '{"k": 1, "u": "a\\nb\\u001e"}'))  # line breaks in a path
+@example(case=("mm", '{"k": -1}'))
+@example(case=("mm", '{"k": "3"}'))
+@example(case=("mm-restricted-sum", '{"k_f": -2, "k_g": 2}'))
 def test_every_parameter_file_ends_with_a_documented_exit(tmp_path, monkeypatch, case):
     monkeypatch.chdir(tmp_path)  # relative paths in the file resolve here
     name, text = case
@@ -94,3 +99,4 @@ def test_every_parameter_file_ends_with_a_documented_exit(tmp_path, monkeypatch,
         assert code in (2, 3), (code, err.getvalue())
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert not any(bare in lines[0] for bare in _BARE), lines

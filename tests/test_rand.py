@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +37,15 @@ def test_prng_determinism_and_ranges():
     assert set(vals) <= {3, 4, 5}
     with pytest.raises(ValueError):
         c.randrange(0)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda rng: rng.bits(-1),
+                 "bit count must be in [0, 67108864], got -1", id="bits-negative"),
+])
+def test_bad_arguments_raise_with_a_message(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        call(XorShift64Star(1))
 
 
 def reference_bits(rng, k):
