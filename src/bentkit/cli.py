@@ -131,13 +131,15 @@ def _param_function(value, rng, n_random: int, label: str) -> BooleanFunction:
 
 def _param_map(p: dict, label: str, key: str, rng, fix_zero: bool = False):
     value = p.get(label, "random")
-    if value == "random":
-        if key not in p:
-            raise PremiseError(f"cannot draw {label} at random: set \"{key}\"")
-        k = _integer(p[key], key, 1)
-        constructions.check_total(2 * k)  # before drawing 2^k images
-        return rand.random_permutation(k, rng, fix_zero=fix_zero)
-    return constructions.PermutationMap(value)
+    if value != "random":
+        if key in p:
+            raise PremiseError(f"parameter {key!r} is read only to draw {label} at random")
+        return constructions.PermutationMap(value)
+    if key not in p:
+        raise PremiseError(f"cannot draw {label} at random: set \"{key}\"")
+    k = _integer(p[key], key, 1)
+    constructions.check_total(2 * k)  # before drawing 2^k images
+    return rand.random_permutation(k, rng, fix_zero=fix_zero)
 
 
 def _params(path: str | None) -> dict:
@@ -306,48 +308,65 @@ def _resilient_indirect_sum_pair(a, p, rng):
     ))
 
 
-_F123, _G123 = ("f1", "f2", "f3"), ("g1", "g2", "g3")
-
-# name: (build function, truth-table flags, --param-file keys, other options)
+# name: (build function, truth-table flags, --param-file keys, other options),
+# each column as README's table row lists it; "!" marks a required entry
+_F123_G123 = "f1! f2! f3! g1! g2! g3!"
 _BUILDS = {
-    "direct-sum": (_direct_sum, ("f", "g"), (), ()),
-    "indirect-sum": (_indirect_sum, ("f1", "f2", "g1", "g2"), (), ()),
-    "restricted-indirect-sum": (_restricted_indirect_sum, ("f", "g"), (), ()),
-    "mm": (_mm, (), (), ()),
-    "psap": (_psap, (), ("m",), ()),
-    "class-d": (_class_d, (), ("k",), ()),
-    "mm-restricted-sum": (_mm_restricted_sum, (), (), ()),
-    "psap-restricted-sum": (_psap_restricted_sum, (), (
-        "m_f", "theta", "form_f", "shift_f", "m_g", "vartheta", "form_g", "shift_g",
-    ), ()),
-    "class-d-restricted-sum": (_class_d_restricted_sum, (), ("k_f", "k_g"), ()),
-    "rothaus": (_rothaus, _F123, (), ()),
-    "rothaus-restricted-sum": (_rothaus_restricted_sum, _F123 + _G123, (), ()),
-    "generalized-indirect-sum": (_generalized_indirect_sum, _F123 + _G123, (), ()),
-    "resilient-indirect-sum": (_resilient_indirect_sum, _F123 + _G123, (), ("k",)),
+    "direct-sum": (_direct_sum, "f! g!", "", ""),
+    "indirect-sum": (_indirect_sum, "f1! f2! g1! g2!", "", ""),
+    "restricted-indirect-sum": (_restricted_indirect_sum, "f! g!", "", "mu rho variant"),
+    "mm": (_mm, "", "phi k u", "seed param-file"),
+    "psap": (_psap, "", "m! theta", "seed param-file"),
+    "class-d": (_class_d, "", "phi k e2 e1", "seed param-file"),
+    "mm-restricted-sum": (_mm_restricted_sum, "", "phi k_f psi k_g u v",
+                          "mu rho seed param-file"),
+    "psap-restricted-sum": (_psap_restricted_sum, "", "m_f! theta! form_f! shift_f! "
+                            "m_g! vartheta! form_g! shift_g!", "param-file"),
+    "class-d-restricted-sum": (_class_d_restricted_sum, "",
+                               "phi k_f psi k_g e2 e1 xi2 xi1", "mu rho seed param-file"),
+    "rothaus": (_rothaus, "f1! f2! f3!", "", ""),
+    "rothaus-restricted-sum": (_rothaus_restricted_sum, _F123_G123, "", ""),
+    "generalized-indirect-sum": (_generalized_indirect_sum, _F123_G123, "", "mode t k"),
+    "resilient-indirect-sum": (_resilient_indirect_sum, _F123_G123, "", "k!"),
     "resilient-indirect-sum-pair": (
-        _resilient_indirect_sum_pair, _F123 + ("p", "q"), (), ("k",)
-    ),
+        _resilient_indirect_sum_pair, "f1! f2! f3! p! q!", "", "k! i"),
 }
+
+# every build option but -o, argparse's keywords for those not paths, defaults
+_OPTIONS = dict.fromkeys(w.rstrip("!") for _, flags, _, options in _BUILDS.values()
+                         for w in f"{flags} {options}".split())
+_ARGUMENTS = {**dict.fromkeys(["mu", "rho", "t", "k", "i", "seed"], {"type": int}),
+              "variant": {"choices": ["00", "01", "10", "11"]},
+              "mode": {"choices": ["resilient", "bent"]}}
+_DEFAULTS = {"seed": 0, "mu": 1, "rho": 1, "i": 1, "variant": "00"}
+
+
+def _reads(column: str, missing=PremiseError) -> dict:
+    """A _BUILDS column as {entry: the error its absence raises, or None}."""
+    return {w.rstrip("!"): missing if w.endswith("!") else None for w in column.split()}
+
+
+def _check(name: str, reads: dict, given, spell: str) -> None:
+    """Reject an entry of `given` that is not read, then a required one it lacks."""
+    for entry in [*given, *reads]:
+        if entry not in reads:
+            raise PremiseError(f"{name} does not read {spell.format(entry)}")
+        if reads[entry] and entry not in given:
+            raise reads[entry](f"missing {spell.format(entry)} for {name}")
 
 
 def cmd_build(args) -> int:
     name = args.construction
     build, flags, keys, options = _BUILDS[name]
-    for flag in flags:
-        if getattr(args, flag) is None:
-            raise TruthTableFormatError(f"missing --{flag} for {name}")
+    given = [o for o in _OPTIONS if getattr(args, o.replace("-", "_")) is not None]
+    _check(name, _reads(flags, TruthTableFormatError) | _reads(options), given, "--{}")
     p = _params(args.param_file)
+    _check(name, _reads(keys), p, "parameter {!r}")
     _reject_booleans(p, name)
     for key in ("phi", "psi", "theta", "vartheta", "e1", "e2", "xi1", "xi2"):
         if not isinstance(p.get(key, ""), (list, str)):  # a list or a word
             raise PremiseError(f"malformed parameters for {name}: {key!r} is not a list")
-    for key in keys:
-        if key not in p:
-            raise PremiseError(f"missing parameter {key!r} for {name}")
-    for option in options:
-        if getattr(args, option) is None:
-            raise PremiseError(f"missing --{option} for {name}")
+    vars(args).update({o: v for o, v in _DEFAULTS.items() if getattr(args, o) is None})
     # TypeError: a parameter value of the wrong JSON type; OverflowError: a
     # number such as 1e400, which JSON reads as infinity, used as an integer
     try:
@@ -387,18 +406,9 @@ def _parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("build", help="run a construction and certify the output")
     pb.add_argument("construction", choices=list(_BUILDS))
-    pb.add_argument("-o", "--output", default=None)
-    pb.add_argument("--seed", type=int, default=0)
-    pb.add_argument("--param-file", default=None)
-    pb.add_argument("--variant", default="00", choices=["00", "01", "10", "11"])
-    pb.add_argument("--mu", type=int, default=1)
-    pb.add_argument("--rho", type=int, default=1)
-    pb.add_argument("--mode", default=None, choices=["resilient", "bent"])
-    pb.add_argument("--t", type=int, default=None)
-    pb.add_argument("--k", type=int, default=None)
-    pb.add_argument("--i", type=int, default=1)
-    for flag in sorted({flag for _, flags, _, _ in _BUILDS.values() for flag in flags}):
-        pb.add_argument(f"--{flag}")
+    pb.add_argument("-o", "--output")
+    for option in _OPTIONS:  # each defaults to None, so cmd_build sees what was given
+        pb.add_argument(f"--{option}", **_ARGUMENTS.get(option, {}))
     pb.set_defaults(func=cmd_build)
 
     return ap

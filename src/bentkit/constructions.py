@@ -563,13 +563,16 @@ def generalized_indirect_sum(
 
     mode="resilient" certifies the premise that f1, f2, f3, f1+f2+f3
     are t-resilient and g1, g2, g3, g1+g2+g3 are k-resilient (the output
-    is then (t+k+1)-resilient); mode="bent" certifies that all eight
-    functions are bent and the f-side dual-sum condition holds (the
-    output is then bent).  With f2 = f3 and g2 = g3 the formula reduces
-    to the plain indirect sum.  Mismatched variable counts on either side
-    are a ValueError, raised before any premise is checked.
+    is then (t+k+1)-resilient); t and k are read in that mode only.
+    mode="bent" certifies that all eight functions are bent and the f-side
+    dual-sum condition holds (the output is then bent).  With f2 = f3 and
+    g2 = g3 the formula reduces to the plain indirect sum.  Mismatched
+    variable counts on either side are a ValueError, raised before any
+    premise is checked.
     """
     check_total(f1.n + g1.n)
+    if mode != "resilient" and (t is not None or k is not None):
+        raise ValueError(f"t and k are read only in resilient mode, got mode {mode!r}")
     if mode == "resilient":
         if t is None or k is None:
             raise ValueError("resilient mode needs both t and k")

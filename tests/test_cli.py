@@ -166,6 +166,12 @@ def test_build_psap_and_class_d(tmp_path):
     out = json.loads(proc.stdout)
     assert out["verified"]["bent"] is True and out["n"] == 6
 
+    # k is read only to draw phi, so an image list needs none
+    param.write_text(json.dumps({"phi": [0, 1, 3, 2]}))
+    proc = run("build", "class-d", "--param-file", param, "-o", tmp_path / "d.tt")
+    out = json.loads(proc.stdout)
+    assert out["verified"]["bent"] is True and out["n"] == 4
+
 
 def test_build_resilient_pair_certificate(tmp_path):
     rng = XorShift64Star(100)
@@ -362,6 +368,37 @@ _TRIPLE = ("--f1", "--f2", "--f3")
         lambda t: ["indirect-sum", "--f1", put(t, "f.tt", MM4)],
         2, "missing --f2 for indirect-sum", id="missing-table-flag"),
     pytest.param(
+        lambda t: ["direct-sum", "--f", put(t, "f.tt", MM4), "--g", put(t, "g.tt", MM4),
+                   "--mu", "7", "--k", "3", "--variant", "11", "--seed", "9"],
+        3, "direct-sum does not read --mu", id="unread-flag"),
+    pytest.param(
+        lambda t: ["psap-restricted-sum", "--seed", "1", "--param-file", put_json(t, {
+            "m_f": 2, "theta": [0, 0, 1, 1], "form_f": [1, 0], "shift_f": [2, 0],
+            "m_g": 2, "vartheta": [0, 1, 1, 0], "form_g": [0, 1], "shift_g": [0, 3],
+        })],
+        3, "psap-restricted-sum does not read --seed", id="unread-seed"),
+    pytest.param(
+        lambda t: ["restricted-indirect-sum", "--f", put(t, "f.tt", MM4),
+                   "--g", put(t, "g.tt", MM4), "--param-file", put_json(t, {})],
+        3, "restricted-indirect-sum does not read --param-file", id="unread-param-file"),
+    pytest.param(
+        lambda t: ["psap", "--param-file",
+                   put_json(t, {"m": 3, "thetaa": [0, 0, 1, 1, 0, 1, 0, 1]})],
+        3, "psap does not read parameter 'thetaa'", id="unread-key"),
+    pytest.param(
+        lambda t: ["mm", "--param-file", put_json(t, {"phi": [0, 1, 3, 2], "k": 5})],
+        3, "parameter 'k' is read only to draw phi at random", id="k-with-an-image-list"),
+    pytest.param(
+        lambda t: ["class-d-restricted-sum", "--param-file",
+                   put_json(t, {"phi": [0, 1, 3, 2], "k_g": 2, "psi": [0, 1, 3, 2]})],
+        3, "parameter 'k_g' is read only to draw psi at random",
+        id="k-g-with-an-image-list"),
+    pytest.param(
+        lambda t: ["generalized-indirect-sum", "--t", "3", "--k", "9",
+                   *(x for flag in (*_TRIPLE, "--g1", "--g2", "--g3")
+                     for x in (flag, put(t, "f.tt", MM4)))],
+        3, "t and k are read only in resilient mode, got mode None", id="t-k-without-mode"),
+    pytest.param(
         lambda t: ["resilient-indirect-sum",
                    *(x for flag in (*_TRIPLE, "--g1", "--g2", "--g3")
                      for x in (flag, put(t, "f.tt", MM4)))],
@@ -407,17 +444,17 @@ def test_build_error_paths_exit_with_a_message(tmp_path, args, code, message):
 
 
 def test_param_file_is_read_as_utf8_in_an_ascii_locale(tmp_path):
-    # the C locale with UTF-8 mode off decodes text files as ASCII
-    u = str(put(tmp_path, "u.tt", BooleanFunction(2, [0, 0, 0, 1])))
-    params = {"k": 2, "phi": [0, 1, 2, 3], "u": u, "note": "x\u2081x\u2082 \u00e9"}
+    # the C locale with UTF-8 mode off decodes text files as ASCII; a file
+    # that failed to decode would exit 2, and one read whole names its
+    # unread key
+    params = {"phi": [0, 1, 2, 3], "note": "x\u2081x\u2082 \u00e9"}
     p = _file(tmp_path, "p.json", json.dumps(params, ensure_ascii=False).encode())
     env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
     proc = subprocess.run(
         [sys.executable, "-m", "bentkit", "build", "mm", "--param-file", str(p)],
         capture_output=True, text=True, env=env,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("n=4\nbits=")
+    assert (proc.returncode, proc.stderr) == (3, "error: mm does not read parameter 'note'\n")
 
 
 @pytest.mark.parametrize("target", [

@@ -1333,6 +1333,10 @@ def test_is_bent_answers_odd_counts_without_a_spectrum(monkeypatch):
                  ValueError, "resilient mode needs both t and k", id="resilient-no-k"),
     pytest.param(lambda: generalized_indirect_sum(*_zeros(2, 6), mode="plain"),
                  ValueError, "unknown mode 'plain'", id="unknown-mode"),
+    pytest.param(lambda: generalized_indirect_sum(*_zeros(2, 6), t=5, k=7), ValueError,
+                 "t and k are read only in resilient mode, got mode None", id="t-k-without-mode"),
+    pytest.param(lambda: generalized_indirect_sum(*_zeros(2, 6), mode="bent", k=0), ValueError,
+                 "t and k are read only in resilient mode, got mode 'bent'", id="k-in-bent-mode"),
 ])
 def test_bad_arguments_raise_with_a_message(call, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)) as exc:

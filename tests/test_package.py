@@ -1,6 +1,7 @@
 """The package surface: lazy re-exports, the program's entry point and
 its OpenBLAS thread default."""
 
+import argparse
 import ast
 import importlib
 import os
@@ -151,21 +152,40 @@ def test_readme_library_tour_runs():
 
 
 def test_readme_build_table_matches_the_build_registry():
-    # README's `build` table against cli._BUILDS: the truth-table flags,
-    # and the keys and options it marks in bold as required
+    # README's `build` table against cli._BUILDS, whole rows in order: every
+    # flag, key and option, with bold in README and "!" in _BUILDS marking
+    # a required entry
     from bentkit.cli import _BUILDS
 
     readme = (ROOT / "README.md").read_text()
     header = "| construction | truth-table flags | `--param-file` keys | other options |"
     rows = readme.split(header, 1)[1].split("\n\n", 1)[0].splitlines()[2:]
-    bold = re.compile(r"\*\*`([^`]+)`\*\*")
+
+    def column(cell, dashes):
+        words = []
+        for item in filter(None, cell.split(", ")):
+            entry = re.fullmatch(rf"(\*\*)?`{dashes}([\w-]+)`(\*\*)?", item)
+            assert entry and entry[1] == entry[3], (cell, item)
+            words.append(entry[2] + "!" * bool(entry[1]))
+        return " ".join(words)
+
     table = {}
     for row in rows:
         name, flags, keys, options = (cell.strip() for cell in row.strip("|").split("|"))
-        table[name.strip("`")] = (
-            tuple(re.findall(r"`--(\w+)`", flags)),
-            tuple(bold.findall(keys)),
-            tuple(option.removeprefix("--") for option in bold.findall(options)),
-        )
+        table[name.strip("`")] = (column(flags, "--"), column(keys, ""), column(options, "--"))
     assert len(table) == 14
     assert table == {name: entry[1:] for name, entry in _BUILDS.items()}
+
+
+def test_every_build_option_is_read_by_some_construction():
+    from bentkit.cli import _BUILDS, _parser
+
+    (commands,) = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    registered = {
+        option.removeprefix("--") for action in commands.choices["build"]._actions
+        for option in action.option_strings if option not in ("-h", "--help", "-o", "--output")
+    }
+    read = {word.rstrip("!") for _, flags, _, options in _BUILDS.values()
+            for word in f"{flags} {options}".split()}
+    assert len(registered) == 19  # 20 with -o
+    assert registered == read

@@ -1,14 +1,16 @@
 """Fuzzing of `bentkit build` parameter files, in process through cli.main.
 
 Every construction that reads a --param-file gets drawn JSON objects.
-Each key it reads is absent or holds a value of the right kind, which
-may be out of range or a number JSON reads oddly (NaN, a float for a
-count); at most one key holds a value of the wrong JSON type.
-Every run must end with exit 0, 2 or 3, and a nonzero exit prints
-exactly one `error:` line and no traceback.  That line is never an
-operator's error from inside the arithmetic, which names no key.  Sizes
-are drawn small, or so large that the run must fail before any table is
-built, so no drawn build exceeds 10 variables.
+Each key it reads, as cli._BUILDS declares them, is absent or holds a
+value of the right kind, which may be out of range or a number JSON reads
+oddly (NaN, a float for a count); at most one key holds a value of the
+wrong JSON type.  Every run must end with exit 0, 2 or 3, and a nonzero
+exit prints exactly one `error:` line and no traceback.  That line is
+never an operator's error from inside the arithmetic, which names no key.
+About one file in five also holds a key the construction does not read,
+and must end with exit 3 naming it.  Sizes are drawn small, or so large
+that the run must fail before any table is built, so no drawn build
+exceeds 10 variables.
 """
 
 import contextlib
@@ -18,7 +20,7 @@ import json
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from bentkit.cli import main
+from bentkit.cli import _BUILDS, main
 from test_arg_fuzz import _BARE
 
 _JUNK = (
@@ -39,35 +41,34 @@ _KEYS = {
     "subspace": st.just("auto") | st.lists(st.integers(-1, 8), max_size=3),
 }
 
-# the --param-file keys each construction reads, by kind
-_READS = {
-    "mm": {"phi": "map", "k": "size", "u": "function"},
-    "psap": {"m": "size", "theta": "bits"},
-    "class-d": {"k": "size", "phi": "map", "e1": "subspace", "e2": "subspace"},
-    "mm-restricted-sum": {
-        "phi": "map", "k_f": "size", "psi": "map", "k_g": "size",
-        "u": "function", "v": "function",
-    },
-    "psap-restricted-sum": {
-        "m_f": "size", "theta": "bits", "form_f": "pair", "shift_f": "pair",
-        "m_g": "size", "vartheta": "bits", "form_g": "pair", "shift_g": "pair",
-    },
-    "class-d-restricted-sum": {
-        "k_f": "size", "k_g": "size", "phi": "map", "psi": "map",
-        "e1": "subspace", "e2": "subspace", "xi1": "subspace", "xi2": "subspace",
-    },
+# the kind of every --param-file key some construction reads
+_KINDS = {
+    **dict.fromkeys(["k", "k_f", "k_g", "m", "m_f", "m_g"], "size"),
+    **dict.fromkeys(["phi", "psi"], "map"),
+    **dict.fromkeys(["u", "v"], "function"),
+    **dict.fromkeys(["theta", "vartheta"], "bits"),
+    **dict.fromkeys(["form_f", "shift_f", "form_g", "shift_g"], "pair"),
+    **dict.fromkeys(["e1", "e2", "xi1", "xi2"], "subspace"),
 }
+# the keys each construction reads, from the declaration
+_READS = {name: keys.replace("!", "").split() for name, (_, _, keys, _) in _BUILDS.items()
+          if keys}
 
 
 @st.composite
 def param_files(draw):
     name = draw(st.sampled_from(sorted(_READS)))
     reads = _READS[name]
-    params = {key: draw(_KEYS[kind]) for key, kind in reads.items()
+    params = {key: draw(_KEYS[_KINDS[key]]) for key in reads
               if draw(st.integers(0, 4))}  # each key present four times in five
     if draw(st.booleans()):  # one value of the wrong JSON type
-        params[draw(st.sampled_from(sorted(reads)))] = draw(_JUNK)
-    return name, json.dumps(params)
+        params[draw(st.sampled_from(reads))] = draw(_JUNK)
+    unread = not draw(st.integers(0, 4))  # one file in five
+    if unread:  # another construction's key, or a misspelling
+        key = draw(st.sampled_from(sorted(set(_KINDS) - set(reads))) | st.text(max_size=6)
+                   .filter(lambda key: key not in reads))
+        params[key] = draw(_JUNK)
+    return name, json.dumps(params), unread
 
 
 _DEEP = "[" * 50000 + "]" * 50000  # deeper than the JSON decoder can recurse
@@ -78,25 +79,27 @@ _DEEP = "[" * 50000 + "]" * 50000  # deeper than the JSON decoder can recurse
 @given(case=param_files())
 @example(case=("psap-restricted-sum", '{"m_f": 2, "theta": [0, 1, 0, 1], '
                '"form_f": [1e400, 0], "shift_f": [1, 0], "m_g": 2, '
-               '"vartheta": [0, 1, 0, 1], "form_g": [1, 0], "shift_g": [1, 0]}'))
-@example(case=("mm", '{"phi": [0, 1e400]}'))
-@example(case=("class-d", '{"k": 2, "e2": [1e400]}'))
-@example(case=("psap", _DEEP))
-@example(case=("mm", '{"k": 1, "u": "a\\nb\\u001e"}'))  # line breaks in a path
-@example(case=("mm", '{"k": -1}'))
-@example(case=("mm", '{"k": "3"}'))
-@example(case=("mm-restricted-sum", '{"k_f": -2, "k_g": 2}'))
+               '"vartheta": [0, 1, 0, 1], "form_g": [1, 0], "shift_g": [1, 0]}', False))
+@example(case=("mm", '{"phi": [0, 1e400]}', False))
+@example(case=("class-d", '{"k": 2, "e2": [1e400]}', False))
+@example(case=("psap", _DEEP, False))
+@example(case=("mm", '{"k": 1, "u": "a\\nb\\u001e"}', False))  # line breaks in a path
+@example(case=("mm", '{"k": -1}', False))
+@example(case=("mm", '{"k": "3"}', False))
+@example(case=("mm-restricted-sum", '{"k_f": -2, "k_g": 2}', False))
+@example(case=("psap", '{"m": 3, "thetaa": [0, 1]}', True))
 def test_every_parameter_file_ends_with_a_documented_exit(tmp_path, monkeypatch, case):
     monkeypatch.chdir(tmp_path)  # relative paths in the file resolve here
-    name, text = case
+    name, text, unread = case
     (tmp_path / "p.json").write_text(text)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["build", name, "--param-file", "p.json", "-o", "h.tt"])
     if code == 0:
-        assert err.getvalue() == ""
+        assert err.getvalue() == "" and not unread
     else:
         assert code in (2, 3), (code, err.getvalue())
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert not any(bare in lines[0] for bare in _BARE), lines
+        assert not unread or (code == 3 and f"{name} does not read parameter" in lines[0])
