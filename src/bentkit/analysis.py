@@ -51,6 +51,7 @@ _ROW = 1 << 12
 _ROWS = 16
 _OFFSET_WEIGHT = np.bitwise_count(np.arange(_ROW, dtype=np.uint16))
 _ROW_WEIGHT = np.bitwise_count(np.arange(1 << (MAX_VARS - 12)))[:, None]
+_UNITS = 1 << np.arange(MAX_VARS)  # the points w of weight 1
 
 
 class ResiliencyReport(NamedTuple):
@@ -64,10 +65,13 @@ def resiliency_report(f: BooleanFunction) -> ResiliencyReport:
     ci_order is 0 when some weight-1 coefficient is nonzero; resiliency
     equals ci_order for balanced functions and -1 otherwise.
 
-    The spectrum is scanned _ROWS rows at a time, so no spectrum-sized
-    temporary is made; a nonzero W_f(w) at wt(w) = 1 ends the scan.
+    The n weight-1 entries W_f(2^j) are read first, and a nonzero one
+    answers at once (every bent function does).  Otherwise the spectrum is
+    scanned _ROWS rows at a time, so no spectrum-sized temporary is made.
     """
     spec = walsh_transform(f).values
+    if spec[_UNITS[: f.n]].any():
+        return ResiliencyReport(0, 0 if spec[0] == 0 else -1)
     rows = spec.reshape(-1, min(_ROW, spec.shape[0]))
     none = np.uint8(f.n + 1)  # above every weight: W_f(w) = 0 for all w != 0
     least = f.n + 1
@@ -78,7 +82,7 @@ def resiliency_report(f: BooleanFunction) -> ResiliencyReport:
         if r == 0:
             weight[0, 0] = none  # w = 0 is left out
         least = min(least, int(weight.min()))
-        if least == 1:
+        if least == 2:  # the lowest weight left, as none of weight 1 is nonzero
             break
     ci = least - 1
     return ResiliencyReport(ci, ci if int(spec[0]) == 0 else -1)

@@ -81,7 +81,7 @@ def _unpack_bits(mask: int, n: int) -> np.ndarray:
     return np.unpackbits(_mask_bytes(mask, n), bitorder="little")[: 1 << n]
 
 
-def _coordinate_mask(n: int, s: int) -> int:
+def _build_coordinate_mask(n: int, s: int) -> int:
     """Packed table of the indices in [0, 2^n) whose bit s is set."""
     width = 2 << s
     m = ((1 << (1 << s)) - 1) << (1 << s)  # one period: 2^s zeros, 2^s ones
@@ -89,6 +89,21 @@ def _coordinate_mask(n: int, s: int) -> int:
         m |= m << width
         width *= 2
     return m
+
+
+# the n coordinate masks of each n up to _MASKED_VARS, about 0.25 MiB in all
+_MASKED_VARS = 16
+_COORDINATE_MASKS: dict[int, list[int]] = {}
+
+
+def _coordinate_mask(n: int, s: int) -> int:
+    """_build_coordinate_mask(n, s), kept for n up to _MASKED_VARS."""
+    if n > _MASKED_VARS:
+        return _build_coordinate_mask(n, s)
+    masks = _COORDINATE_MASKS.get(n)
+    if masks is None:
+        masks = _COORDINATE_MASKS[n] = [_build_coordinate_mask(n, j) for j in range(n)]
+    return masks[s]
 
 
 def _nibble_select(p: int, b: int) -> bytes:

@@ -7,6 +7,8 @@ touches the stdlib RNG.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .constructions import (
     BentTriple,
     LinearSubspace,
@@ -23,23 +25,77 @@ from .analysis import is_resilient
 
 _MASK64 = (1 << 64) - 1
 _MULT = 0x2545F4914F6CDD1D
+_ZERO_SEED_STATE = 0x9E3779B97F4A7C15  # the state seed 0 starts from
+_BLOCK = 256  # words drawn at a time
+
+# row j: T^1 e_j, ..., T^256 e_j, where T is the xorshift step and e_j the
+# unit state 1 << j; built by _jump on the first block drawn
+_JUMP = None
+
+
+def _jump() -> np.ndarray:
+    """The jump table, built once.  T is linear over GF(2)^64, so the state
+    k steps after x is the XOR of column k - 1 over the rows j with bit j
+    of x set."""
+    global _JUMP
+    if _JUMP is None:
+        x = np.uint64(1) << np.arange(64, dtype=np.uint64)
+        table = np.empty((64, _BLOCK), np.uint64)
+        for k in range(_BLOCK):
+            x ^= x >> 12
+            x ^= x << 25  # uint64: the bits shifted past 63 drop
+            x ^= x >> 27
+            table[:, k] = x
+        _JUMP = table
+    return _JUMP
 
 
 class XorShift64Star:
-    """xorshift64* with the usual multiplier; state must stay nonzero."""
+    """xorshift64* with the usual multiplier.  Seeds are 0 to 2^64 - 1, one
+    stream each: seed 0 starts from the state 0x9E3779B97F4A7C15 (the state
+    must stay nonzero), which is therefore no seed itself.
 
-    __slots__ = ("state",)
+    Words are drawn 256 at a time from the jump table, and every draw reads
+    the block's list of words; a block is refilled when it is used up.
+    """
+
+    __slots__ = ("_states", "_words", "_i")
 
     def __init__(self, seed: int):
-        self.state = _integer(seed, "seed") & _MASK64 or 0x9E3779B97F4A7C15
+        seed = _integer(seed, "seed", 0, _MASK64)
+        if seed == _ZERO_SEED_STATE:
+            raise ValueError(
+                f"seed must not be {seed} (0x{seed:X}), the state that seed 0 stands for"
+            )
+        # _states[i]: the state after the block's first i words, _states[0]
+        # the one before the block; _words: the block's words, _i of them drawn
+        self._states = np.array([seed or _ZERO_SEED_STATE], np.uint64)
+        self._words: list[int] = []
+        self._i = 0
+
+    @property
+    def state(self) -> int:
+        """The state after the last word drawn."""
+        return int(self._states[self._i])
+
+    def _refill(self) -> None:
+        x = self._states[-1]
+        units = np.frombuffer(int(x).to_bytes(8, "little"), np.uint8)
+        states = np.empty(_BLOCK + 1, np.uint64)
+        states[0] = x
+        rows = _jump()[np.unpackbits(units, bitorder="little").view(bool)]
+        np.bitwise_xor.reduce(rows, axis=0, out=states[1:])
+        self._states = states
+        self._words = (states[1:] * _MULT).tolist()  # uint64 wraps mod 2^64
+        self._i = 0
 
     def next_u64(self) -> int:
-        x = self.state
-        x ^= x >> 12
-        x ^= (x << 25) & _MASK64
-        x ^= x >> 27
-        self.state = x
-        return (x * _MULT) & _MASK64
+        i = self._i
+        if i == len(self._words):
+            self._refill()
+            i = 0
+        self._i = i + 1
+        return self._words[i]
 
     def bits(self, k: int) -> int:
         """A uniform k-bit integer, k at most 2^MAX_VARS (a whole table): the
@@ -47,14 +103,20 @@ class XorShift64Star:
         k = _integer(k, "bit count", 0, 1 << MAX_VARS)
         if k <= 64:  # the common draw: one word, no join
             return self.next_u64() >> (64 - k) if k else 0
-        words = -(-k // 64)
-        raw = b"".join(self.next_u64().to_bytes(8, "big") for _ in range(words))
-        return int.from_bytes(raw, "big") >> (64 * words - k)
+        words, need = [], -(-k // 64)
+        while need:  # consecutive words, across blocks
+            if self._i == len(self._words):
+                self._refill()
+            chunk = self._words[self._i : self._i + need]
+            self._i += len(chunk)
+            need -= len(chunk)
+            words += chunk
+        raw = np.array(words, ">u8").tobytes()
+        return int.from_bytes(raw, "big") >> (64 * len(words) - k)
 
     def randrange(self, n: int) -> int:
         """A uniform draw from [0, n): the top (n - 1).bit_length() bits of
-        each word until one is below n, as `bits` draws them.  Up to 64
-        bits the xorshift64* step runs inline, with no call per word."""
+        each word until one is below n, as `bits` draws them."""
         n = _integer(n, "range size", 1)
         k = (n - 1).bit_length()
         if k > 64:
@@ -65,14 +127,15 @@ class XorShift64Star:
         if k == 0:  # bits(0) draws no word
             return 0
         shift = 64 - k
-        x = self.state
+        words, i = self._words, self._i
         while True:
-            x ^= x >> 12
-            x ^= (x << 25) & _MASK64
-            x ^= x >> 27
-            v = ((x * _MULT) & _MASK64) >> shift
+            if i == len(words):
+                self._refill()
+                words, i = self._words, 0
+            v = words[i] >> shift
+            i += 1
             if v < n:
-                self.state = x
+                self._i = i
                 return v
 
     def randint(self, lo: int, hi: int) -> int:
@@ -83,20 +146,20 @@ class XorShift64Star:
         return seq[self.randrange(len(seq))]
 
     def shuffle(self, items: list) -> None:
-        """Fisher-Yates from the end, j = randrange(i + 1) at each i, with
-        the xorshift64* step inline."""
-        x = self.state
+        """Fisher-Yates from the end, j = randrange(i + 1) at each i."""
+        words, w, end = self._words, self._i, len(self._words)
         for i in range(len(items) - 1, 0, -1):
             shift = 64 - i.bit_length()
             while True:
-                x ^= x >> 12
-                x ^= (x << 25) & _MASK64
-                x ^= x >> 27
-                j = ((x * _MULT) & _MASK64) >> shift
+                if w == end:
+                    self._refill()
+                    words, w, end = self._words, 0, len(self._words)
+                j = words[w] >> shift
+                w += 1
                 if j <= i:
                     break
             items[i], items[j] = items[j], items[i]
-        self.state = x
+        self._i = w
 
 
 _FIELDS: dict[int, GaloisField] = {}

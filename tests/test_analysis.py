@@ -25,6 +25,7 @@ from bentkit import (
     walsh_transform,
 )
 from bentkit.analysis import ResiliencyReport, is_resilient, semi_bent_order
+from bentkit.oracle import verify_resiliency
 from bentkit.rand import (
     XorShift64Star,
     random_bent,
@@ -32,6 +33,7 @@ from bentkit.rand import (
     random_mm_bent,
     random_resilient,
 )
+from test_rand import SEEDS
 
 X1X2 = BooleanFunction(2, [0, 0, 0, 1])
 
@@ -290,7 +292,7 @@ def test_siegenthaler_degree_cap_on_resilient_corpus():
 
 
 @settings(max_examples=30)
-@given(st.integers(2, 8), st.integers())
+@given(st.integers(2, 8), SEEDS)
 def test_semi_bent_flag_matches_order(n, seed):
     f = random_function(n, XorShift64Star(seed))
     r = plateaued_order(f)
@@ -298,7 +300,7 @@ def test_semi_bent_flag_matches_order(n, seed):
 
 
 @settings(max_examples=30)
-@given(st.integers(1, 8), st.integers())
+@given(st.integers(1, 8), SEEDS)
 def test_parseval_via_spectrum_type(n, seed):
     # WalshSpectrum construction enforces Parseval; touching .values of a
     # fresh transform is enough to know it held
@@ -396,6 +398,20 @@ def _corpus(n: int, rng: XorShift64Star):
 def test_spectrum_predicates_match_reference_on_seeded_corpora(n):
     for f in _corpus(n, XorShift64Star(1000 + n)):
         _assert_predicates_match(f)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_resiliency_report_agrees_with_the_full_scan_and_the_oracle(n):
+    # a nonzero weight-1 entry answers without the row scan; the corpus has
+    # functions on both sides of that test
+    fs = list(_is_resilient_corpus(n, XorShift64Star(2100 + n)))
+    if n % 2 == 0:
+        fs += [random_bent(n, XorShift64Star(2200 + n)) for _ in range(3)]
+    weight_one = [walsh_transform(f).values[1 << np.arange(n)].any() for f in fs]
+    assert any(weight_one) and not all(weight_one)
+    for f in fs:
+        assert resiliency_report(f) == _resiliency_report_ref(f), f
+        assert verify_resiliency(f).agreed, f
 
 
 def test_spectrum_predicates_allocate_no_spectrum_sized_temporary():

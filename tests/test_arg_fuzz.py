@@ -49,7 +49,8 @@ _TRIPLES = [BentTriple(*random_mm_bent_triple(n, _RNG)) for n in (2, 4)]
 _TRIPLES.append(random_derivative_triple(4, _RNG)[0])
 
 _INT = (
-    st.integers(-2, 8) | st.sampled_from([27, 2**70, -(2**70)])
+    st.integers(-2, 8) | st.sampled_from([27, 2**64 - 1, 2**64, 0x9E3779B97F4A7C15, 2**70,
+                                          -(2**70)])
     | st.floats() | st.booleans() | st.none() | st.sampled_from(["1", "0x3"])
     | st.integers(-2, 8).map(np.int64) | st.integers(0, 8).map(np.uint8)
     | st.floats(-2, 8).map(np.float64) | st.sampled_from([np.True_, np.False_])
@@ -204,6 +205,8 @@ _F6 = random_function(6, XorShift64Star(7))
 @example(case=("BooleanFunction.bit", (_F6, -1)))
 @example(case=("bounds_report", (6, 1.5)))
 @example(case=("XorShift64Star", (1.0,)))
+@example(case=("XorShift64Star", (-1,)))
+@example(case=("XorShift64Star", (0x9E3779B97F4A7C15,)))
 @example(case=("GaloisField.trace", (GaloisField(3), 2.0)))
 @example(case=("walsh_case", (_TRIPLES[0], 1.0)))
 def test_every_call_returns_or_raises_a_named_error(case):

@@ -362,6 +362,17 @@ _TRIPLE = ("--f1", "--f2", "--f3")
         lambda t: ["psap", "--param-file", put_json(t, {"m": 2, "theta": None})],
         3, "'theta' is not a list", id="theta-null"),
     pytest.param(
+        lambda t: ["mm", "--seed", "-1", "--param-file", put_json(t, {"k": 2})],
+        3, "seed must be in [0, 18446744073709551615], got -1", id="negative-seed"),
+    pytest.param(
+        lambda t: ["mm", "--seed", str(1 << 64), "--param-file", put_json(t, {"k": 2})],
+        3, "seed must be in [0, 18446744073709551615], got 18446744073709551616",
+        id="seed-above-64-bits"),
+    pytest.param(
+        lambda t: ["mm", "--seed", "11400714819323198485", "--param-file",
+                   put_json(t, {"k": 2})],
+        3, "the state that seed 0 stands for", id="seed-zero-state"),
+    pytest.param(
         lambda t: ["restricted-indirect-sum", "--mu", "abc"],
         2, "argument --mu: invalid int value: 'abc'", id="mu-not-an-int"),
     pytest.param(

@@ -21,7 +21,9 @@ from bentkit import (
     serialize_truth_table,
     walsh_transform,
 )
+import bentkit.core as core
 from bentkit.rand import XorShift64Star, random_function, random_mm_bent
+from test_rand import SEEDS
 
 
 def bf(n, bits):
@@ -71,6 +73,16 @@ def test_every_bit_sequence_gives_the_same_mask():
         for table in (bits, tuple(bits), np.array(bits, dtype=np.uint8))
     }
     assert masks == {0b10110}
+
+
+def test_coordinate_masks_are_kept_up_to_sixteen_variables():
+    for n in range(1, 19):
+        index = np.arange(1 << n)
+        for s in range(n):
+            want = core._pack_bits(index >> s & 1)
+            assert core._build_coordinate_mask(n, s) == want, (n, s)
+            assert core._coordinate_mask(n, s) == want, (n, s)
+    assert max(core._COORDINATE_MASKS) == 16
 
 
 # -- truth-table file format -------------------------------------------
@@ -166,7 +178,7 @@ def test_walsh_spectrum_rejects_non_parseval():
 
 
 @settings(max_examples=40)
-@given(st.integers(1, 8), st.integers())
+@given(st.integers(1, 8), SEEDS)
 def test_walsh_w0_is_weight_identity(n, seed):
     f = random_function(n, XorShift64Star(seed))
     assert walsh_transform(f)[0] == (1 << n) - 2 * f.weight
@@ -277,14 +289,14 @@ def test_mobius_single_monomial():
 
 
 @settings(max_examples=40)
-@given(st.integers(1, 8), st.integers())
+@given(st.integers(1, 8), SEEDS)
 def test_mobius_involution(n, seed):
     f = random_function(n, XorShift64Star(seed))
     assert mobius_inv(mobius(f)) == f
 
 
 @settings(max_examples=40)
-@given(st.integers(1, 8), st.integers())
+@given(st.integers(1, 8), SEEDS)
 def test_mobius_involution_other_direction(n, seed):
     p = AnfPolynomial(n, XorShift64Star(seed).bits(1 << n))
     assert mobius(mobius_inv(p)) == p
@@ -534,7 +546,7 @@ def test_combine_translate_trivialities():
 
 
 @settings(max_examples=30)
-@given(st.integers(2, 8), st.integers(), st.data())
+@given(st.integers(2, 8), SEEDS, st.data())
 def test_restriction_pair_vs_derivative(n, seed, data):
     # f|x_j=0 xor f|x_j=1 equals D_(e_j) f with coordinate j dropped
     f = random_function(n, XorShift64Star(seed))
@@ -546,7 +558,7 @@ def test_restriction_pair_vs_derivative(n, seed, data):
 
 
 @settings(max_examples=30)
-@given(st.integers(1, 7), st.integers(), st.integers())
+@given(st.integers(1, 7), SEEDS, SEEDS)
 def test_degree_of_xor_bounded(n, s1, s2):
     f = random_function(n, XorShift64Star(s1))
     g = random_function(n, XorShift64Star(s2))

@@ -7,7 +7,7 @@ oddly (NaN, a float for a count); at most one key holds a value of the
 wrong JSON type.  Every run must end with exit 0, 2 or 3, and a nonzero
 exit prints exactly one `error:` line and no traceback.  That line is
 never an operator's error from inside the arithmetic, which names no key.
-About one file in five also holds a key the construction does not read,
+About one file in three also holds a key the construction does not read,
 and must end with exit 3 naming it.  Sizes are drawn small, or so large
 that the run must fail before any table is built, so no drawn build
 exceeds 10 variables.
@@ -60,10 +60,13 @@ def param_files(draw):
     name = draw(st.sampled_from(sorted(_READS)))
     reads = _READS[name]
     params = {key: draw(_KEYS[_KINDS[key]]) for key in reads
-              if draw(st.integers(0, 4))}  # each key present four times in five
+              if draw(st.integers(0, 4))}  # each key present about three times in four
     if draw(st.booleans()):  # one value of the wrong JSON type
         params[draw(st.sampled_from(reads))] = draw(_JUNK)
-    unread = not draw(st.integers(0, 4))  # one file in five
+    # about one file in three: hypothesis draws 0 from integers(0, 4) more
+    # often than one time in five, so in two runs of 3000 drawn files keys
+    # were present 76-77 % of the time and 33-34 % of files held an unread key
+    unread = not draw(st.integers(0, 4))
     if unread:  # another construction's key, or a misspelling
         key = draw(st.sampled_from(sorted(set(_KINDS) - set(reads))) | st.text(max_size=6)
                    .filter(lambda key: key not in reads))

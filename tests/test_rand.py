@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bentkit import BentTriple, BooleanFunction, is_bent, resiliency_report, rand
+from bentkit import (
+    BentTriple, BooleanFunction, is_bent, resiliency_report, rand, serialize_truth_table,
+)
+from bentkit.cli import main
 from bentkit.rand import (
     XorShift64Star,
     random_balanced,
@@ -42,10 +45,27 @@ def test_prng_determinism_and_ranges():
 @pytest.mark.parametrize("call, fragment", [
     pytest.param(lambda rng: rng.bits(-1),
                  "bit count must be in [0, 67108864], got -1", id="bits-negative"),
+    pytest.param(lambda rng: XorShift64Star(-1),
+                 "seed must be in [0, 18446744073709551615], got -1", id="seed-negative"),
+    pytest.param(lambda rng: XorShift64Star(1 << 64),
+                 "seed must be in [0, 18446744073709551615], got 18446744073709551616",
+                 id="seed-above-64-bits"),
+    pytest.param(lambda rng: XorShift64Star(0x9E3779B97F4A7C15),
+                 "the state that seed 0 stands for", id="seed-zero-state"),
 ])
 def test_bad_arguments_raise_with_a_message(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
         call(XorShift64Star(1))
+
+
+def test_each_seed_is_its_own_stream():
+    # seed 0 stands for the state 0x9E3779B97F4A7C15; the widest seed is kept
+    assert XorShift64Star(0).state == 0x9E3779B97F4A7C15
+    assert XorShift64Star((1 << 64) - 1).state == (1 << 64) - 1
+
+
+# every seed but the state that seed 0 stands for
+SEEDS = st.integers(0, (1 << 64) - 1).filter(lambda s: s != 0x9E3779B97F4A7C15)
 
 
 def reference_bits(rng, k):
@@ -59,16 +79,24 @@ def reference_bits(rng, k):
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, (1 << 64) - 1), k=st.sampled_from([0, 1, 63, 64, 65, 4096, 1 << 16]))
-def test_bits_agrees_with_the_word_loop(seed, k):
-    fast, slow = XorShift64Star(seed), XorShift64Star(seed)
+@given(
+    seed=SEEDS,
+    before=st.sampled_from([0, 1, 200, 255, 256, 300]),
+    k=st.sampled_from([0, 1, 63, 64, 65, 4096, 1 << 14, (1 << 14) + 1, 1 << 16]),
+)
+def test_bits_agrees_with_the_word_loop(seed, before, k):
+    # `before` single words first, so a long draw starts anywhere in a block
+    fast, slow = XorShift64Star(seed), ReferenceXorShift64Star(seed)
+    assert [fast.next_u64() for _ in range(before)] == [
+        slow.next_u64() for _ in range(before)]
+    assert fast.state == slow.state
     assert fast.bits(k) == reference_bits(slow, k)
     assert fast.state == slow.state  # the same words were drawn
 
 
 class ReferenceXorShift64Star:
-    """The generator as it was before randrange and shuffle ran the
-    xorshift64* step inline: every word comes from bits and next_u64."""
+    """The generator one word at a time: every word is one xorshift64*
+    step of the state, and every draw comes from bits and next_u64."""
 
     def __init__(self, seed):
         self.state = seed & ((1 << 64) - 1) or 0x9E3779B97F4A7C15
@@ -113,26 +141,50 @@ RANGES = [1, 2, 3, 1 << 64, (1 << 64) + 1] + [
 
 
 def _draws(rng, n, length):
-    """Values of each inline draw, in one fixed order."""
-    out = [rng.randrange(n) for _ in range(4)]
-    out += [rng.randint(-7, n - 8) for _ in range(3)]
+    """Each draw's value and the state after it, in one fixed order: 300
+    calls of randrange, randint and choice in turn, more words than one
+    256-word block holds, then a shuffle of `length` items."""
     items = list(range(length))
+    calls = [lambda: rng.randrange(n), lambda: rng.randint(-7, n - 8)]
     if items:
-        out += [rng.choice(items) for _ in range(3)]
+        calls.append(lambda: rng.choice(items))
+    out = [(calls[c % len(calls)](), rng.state) for c in range(300)]
     rng.shuffle(items)
-    return out + items
+    return out + [(items, rng.state)]
 
 
 @settings(max_examples=120, deadline=None)
 @given(
-    seed=st.integers(0, (1 << 64) - 1),
+    seed=SEEDS,
     n=st.sampled_from(RANGES),
-    length=st.sampled_from([0, 1, 2, 17, 64]),
+    length=st.sampled_from([0, 1, 2, 17, 64, 1000]),
 )
 def test_draws_agree_with_the_call_per_word_generator(seed, n, length):
     fast, slow = XorShift64Star(seed), ReferenceXorShift64Star(seed)
     assert _draws(fast, n, length) == _draws(slow, n, length)
-    assert fast.state == slow.state  # the same words were drawn
+
+
+def test_jump_rows_are_the_step_applied_k_times():
+    table = rand._jump()
+    assert table.shape == (64, 256)
+    for j in range(64):
+        ref = ReferenceXorShift64Star(1 << j)
+        row = []
+        for _ in range(256):
+            ref.next_u64()
+            row.append(ref.state)
+        assert table[j].tolist() == row, j
+
+
+def test_a_build_that_draws_nothing_leaves_the_jump_table_unbuilt(
+        tmp_path, monkeypatch, capsys):
+    f = tmp_path / "f.tt"
+    f.write_text(serialize_truth_table(random_mm_bent_triple(4, XorShift64Star(3))[0]))
+    monkeypatch.setattr(rand, "_JUMP", None)
+    code = main(["build", "restricted-indirect-sum", "--f", str(f), "--g", str(f),
+                 "-o", str(tmp_path / "h.tt")])
+    assert code == 0, capsys.readouterr().err
+    assert rand._JUMP is None
 
 
 def reference_resilient_triple(n, t, rng):
