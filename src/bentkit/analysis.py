@@ -41,7 +41,7 @@ def dual(f: BooleanFunction) -> BooleanFunction:
     """The bent dual: W_f(w) = 2^(n/2) * (-1)^dual(w).  Involution."""
     if not is_bent(f):
         raise PremiseError("dual is defined for bent functions only")
-    return BooleanFunction(f.n, _pack_bits(walsh_transform(f).values < 0))
+    return BooleanFunction(f.n, _pack_bits(walsh_transform(f)._raw < 0))
 
 
 # resiliency_report scans the spectrum as rows of _ROW entries, _ROWS rows
@@ -69,7 +69,7 @@ def resiliency_report(f: BooleanFunction) -> ResiliencyReport:
     answers at once (every bent function does).  Otherwise the spectrum is
     scanned _ROWS rows at a time, so no spectrum-sized temporary is made.
     """
-    spec = walsh_transform(f).values
+    spec = walsh_transform(f)._raw
     if spec[_UNITS[: f.n]].any():
         return ResiliencyReport(0, 0 if spec[0] == 0 else -1)
     rows = spec.reshape(-1, min(_ROW, spec.shape[0]))
@@ -118,7 +118,7 @@ def plateaued_order(f: BooleanFunction) -> Optional[int]:
     Parseval (the nonzero squares sum to 4^n, which reaches that product
     only if all equal the largest; the support is then 4^n / max|W|^2)."""
     spec = walsh_transform(f)
-    support = int(np.count_nonzero(spec.values))
+    support = int(np.count_nonzero(spec._raw))
     if support * spec.max_abs ** 2 != 1 << (2 * f.n):
         return None
     return support.bit_length() - 1
@@ -142,8 +142,8 @@ def complementary_plateaued(g1: BooleanFunction, g2: BooleanFunction) -> bool:
         raise ValueError("complementary plateaued pairs need an odd variable count")
     if plateaued_order(g1) != p - 1 or plateaued_order(g2) != p - 1:
         return False
-    s1 = walsh_transform(g1).values != 0
-    s2 = walsh_transform(g2).values != 0
+    s1 = walsh_transform(g1)._raw != 0
+    s2 = walsh_transform(g2)._raw != 0
     return bool(np.all(s1 ^ s2))
 
 

@@ -79,7 +79,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_wht(args) -> int:
     f = _load(args.path)
-    values = walsh_transform(f).values
+    values = walsh_transform(f)._raw
     # the bytes of _emit({"n": ..., "values": [...]}), 2^16 values at a time
     # so that no list or string of the whole spectrum is built
     step = 1 << 16

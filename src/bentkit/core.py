@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import TruthTableFormatError
 
-# A 2^26-bit table packs into 8 MiB, but its int64 Walsh spectrum takes
-# 512 MiB, which walsh_transform allocates once and also uses as its work
-# buffer; builds reach this cap.
+# A 2^26-bit table packs into 8 MiB, but its Walsh spectrum, which
+# walsh_transform allocates once in int32 and works in, takes 256 MiB;
+# builds reach this cap.
 MAX_VARS = 26
 
 
@@ -362,27 +362,49 @@ def parse_truth_table(text: str) -> BooleanFunction:
 class WalshSpectrum:
     """The 2^n signed values W_f(w), same index encoding as the table.
 
-    Parseval's identity (sum of squares = 2^(2n)) is enforced at
-    construction; a sequence failing it cannot be a Walsh spectrum.  An
-    int64 array is held as given, not copied, and made read-only.
+    The values are integers in [-2^n, 2^n], held in int32, and their
+    squares sum to 2^(2n) (Parseval's identity); a sequence failing
+    either cannot be a Walsh spectrum.  An int32 array is held as given,
+    not copied, and made read-only.
     """
 
-    __slots__ = ("n", "values", "_max_abs")
+    __slots__ = ("n", "_raw", "_values", "_max_abs")
 
     def __init__(self, n: int, values: np.ndarray):
         n = _integer(n, "variable count", 1, MAX_VARS)
-        values = np.asarray(values, dtype=np.int64)
-        if values.shape != (1 << n,):
+        raw = np.asarray(values)
+        if raw.shape != (1 << n,):
             raise ValueError(f"spectrum length must be {1 << n}")
-        if int(np.dot(values, values)) != 1 << (2 * n):
+        if raw.dtype.kind not in "iu":
+            raise TypeError(f"spectrum values must be integers, not {raw.dtype}")
+        max_abs = max(int(raw.max()), -int(raw.min()))
+        if max_abs > 1 << n:
+            raise ValueError(f"spectrum values must lie in [-2^{n}, 2^{n}]")
+        raw = raw.astype(np.int32, copy=False)
+        # Each square is at most 2^(2n), so a row of 2^(62 - 2n) of them
+        # sums in int64 without wrapping; einsum casts as it goes.
+        rows = raw.reshape(-1, min(raw.shape[0], 1 << (62 - 2 * n)))
+        squares = sum(np.einsum("ij,ij->i", rows, rows, dtype=np.int64).tolist())
+        if squares != 1 << (2 * n):
             raise ValueError("Parseval check failed: not a Walsh spectrum")
-        values.flags.writeable = False
+        raw.flags.writeable = False
         self.n = n
-        self.values = values
-        self._max_abs = None
+        self._raw = raw
+        self._values = None
+        self._max_abs = max_abs
+
+    @property
+    def values(self) -> np.ndarray:
+        """The spectrum as a read-only int64 array, made on first read.
+        The package itself reads the int32 array, so that no int64 copy
+        is made on its paths."""
+        if self._values is None:
+            self._values = self._raw.astype(np.int64)
+            self._values.flags.writeable = False
+        return self._values
 
     def __getitem__(self, w) -> int:
-        return int(self.values[_as_index(w, self.n)])
+        return int(self._raw[_as_index(w, self.n)])
 
     def __len__(self) -> int:
         return 1 << self.n
@@ -391,7 +413,7 @@ class WalshSpectrum:
         return (
             isinstance(other, WalshSpectrum)
             and self.n == other.n
-            and bool(np.array_equal(self.values, other.values))
+            and bool(np.array_equal(self._raw, other._raw))
         )
 
     def __repr__(self) -> str:
@@ -399,11 +421,9 @@ class WalshSpectrum:
 
     @property
     def max_abs(self) -> int:
-        """max |W(w)| from the two extremes, with no |W| array, computed
-        once as the values are read-only.  As the Parseval check above
-        holds, max_abs^2 >= 2^n, equal iff bent."""
-        if self._max_abs is None:
-            self._max_abs = max(int(self.values.max()), -int(self.values.min()))
+        """max |W(w)|, taken at construction from the two extremes, with
+        no |W| array.  As Parseval's identity holds, max_abs^2 >= 2^n,
+        equal iff bent."""
         return self._max_abs
 
 
@@ -420,9 +440,9 @@ _BYTE_WALSH = _byte_walsh()
 _BYTE_WALSH.flags.writeable = False
 
 
-# Stages with h below this run block by block.  A block's two int32
-# halves take 2 x 512 KiB, which stays inside a 2 MiB L2 cache; its int16
-# stages work in 768 KiB of them.
+# Stages with h below this run block by block.  A block of the int32
+# result takes 512 KiB and its three int16 work blocks 768 KiB, which
+# stays inside a 2 MiB L2 cache.
 _BLOCK = 1 << 17
 
 # The first stage run in int32.  After the stage at pair distance h every
@@ -437,17 +457,15 @@ _WIDE = 1 << 14
 _SHORT = 1 << 12
 
 
-def _butterfly(
-    src: np.ndarray, dst: np.ndarray, h: int, tmp: np.ndarray | None = None
-) -> None:
-    """One stage from src into dst: each (x, y) pair h apart -> (x + y, x - y).
+def _butterfly(src: np.ndarray, dst: np.ndarray, h: int, tmp: np.ndarray) -> None:
+    """One int16 stage from src into dst: each (x, y) pair h apart ->
+    (x + y, x - y).
 
     For h < `_SHORT` both operations run over every offset-h pair, and
     only the rows that need each result keep it: dst[i] = src[i] + src[i+h]
     is right where bit h of i is clear, tmp[i+h] = src[i] - src[i+h] where
     it is set, and the set rows are copied over.  tmp is as long as src
-    and of its dtype.  Only int16 stages are that short (`_SHORT` <
-    `_WIDE`), and the others take no tmp.
+    and of its dtype.
     """
     if h < _SHORT:
         np.add(src[:-h], src[h:], out=dst[:-h])
@@ -460,42 +478,54 @@ def _butterfly(
     np.subtract(x, y, out=d[:, 1])
 
 
+def _butterfly_in_place(a: np.ndarray, h: int, t: np.ndarray) -> None:
+    """One int32 stage over a in place: each (x, y) pair h apart ->
+    (x + y, x - y), as t = x - y; x += y; y = t over chunks of at most
+    len(t) pairs, t being a scratch of a's dtype."""
+    pairs = a.reshape(-1, 2, h)
+    cols = min(h, t.shape[0])
+    rows = t.shape[0] // cols
+    for i in range(0, pairs.shape[0], rows):
+        for j in range(0, h, cols):
+            chunk = pairs[i : i + rows, :, j : j + cols]
+            x, y = chunk[:, 0], chunk[:, 1]
+            d = t[: x.size].reshape(x.shape)
+            np.subtract(x, y, out=d)
+            x += y
+            y[...] = d
+
+
 def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
     """W_f(w) = sum_x (-1)^(f(x) xor w.x), in O(n 2^n).
 
-    The int64 result is the only spectrum-sized allocation: its two int32
-    halves are the work buffers, and each int32 butterfly stage reads one
-    half and writes the other.  Byte j of the packed mask is the table of
-    x -> f(8j + x) on the three fastest variables, so a gather from
-    `_BYTE_WALSH` does the first three stages.  Tables of n < 3 are
-    repeated to fill a byte, which scales W by 2^(3-n) on w < 2^n.
+    The int32 result is the only spectrum-sized allocation; int32 is exact
+    as every partial sum lies within +-2^n <= 2^26.  Byte j of the packed
+    mask is the table of x -> f(8j + x) on the three fastest variables,
+    so a gather from `_BYTE_WALSH` does the first three stages.  Tables
+    of n < 3 are repeated to fill a byte, which scales W by 2^(3-n) on
+    w < 2^n.
 
     The gather and the stages with h < `_BLOCK` run one block at a time,
     the rest over the whole array.  In a block, the gather and the stages
-    with h < `_WIDE` run in int16, which is exact there (see `_WIDE`), in
-    the two int16 halves of one of the block's int32 halves.  A stage with
-    h < `_SHORT` runs as two contiguous operations and a copy through a
-    block-sized scratch (see `_butterfly`): the front of the other int32
-    half.  The int16 result is widened into that other half, and the
-    stages from h = `_WIDE` on run in int32, which is exact as every
-    partial sum lies within +-2^n <= 2^26.  The last stage lands in the
-    upper half, which is widened forward in place.  The result is cached
-    on the function, which is immutable.
+    with h < `_WIDE` run in int16, which is exact there (see `_WIDE`),
+    each from one of two int16 blocks into the other, with a third as the
+    scratch of the stages with h < `_SHORT` (see `_butterfly`).  The int16
+    result is widened into the result's block, and every later stage runs
+    in place there, with the third block, viewed as int32, as its scratch
+    (see `_butterfly_in_place`).  The result is cached on the function,
+    which is immutable.
     """
     if f._spectrum is None:
         n = f.n
         mask = f.mask if n >= 3 else f.mask * (0xFF // ((1 << (1 << n)) - 1))
         raw = _mask_bytes(mask, n)
         size = 8 * raw.shape[0]
-        out = np.empty(size, np.int64)
-        halves = out.view(np.int32).reshape(2, size)
         block = min(_BLOCK, size)
-        # the int32 stages are h = _WIDE .. size/2; the last writes halves[1]
-        first = 1 ^ (max(size.bit_length() - _WIDE.bit_length(), 0) & 1)
+        out = np.empty(size, np.int32)
+        x, y, tmp = np.empty((3, block), np.int16)
+        t = tmp.view(np.int32)
         for lo in range(0, size, block):
-            hi, side = lo + block, first
-            x, y = halves[side ^ 1, lo:hi].view(np.int16).reshape(2, block)
-            tmp = halves[side, lo:hi].view(np.int16)[:block]
+            hi = lo + block
             # mode="clip" writes straight into x; "raise" would buffer it
             dst = x.reshape(-1, 8)
             _BYTE_WALSH.take(raw[lo // 8 : hi // 8], axis=0, out=dst, mode="clip")
@@ -504,27 +534,13 @@ def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
                 _butterfly(x, y, h, tmp)
                 x, y = y, x
                 h *= 2
-            halves[side, lo:hi] = x
+            out[lo:hi] = x
             while h < block:
-                _butterfly(halves[side, lo:hi], halves[side ^ 1, lo:hi], h)
-                side ^= 1
+                _butterfly_in_place(out[lo:hi], h, t)
                 h *= 2
         while h < size:
-            _butterfly(halves[side], halves[side ^ 1], h)
-            side ^= 1
+            _butterfly_in_place(out, h, t)
             h *= 2
-        # Widen over halving chunks [lo, lo + c): the int64 writes end at
-        # int32 offset 2 lo + 2 c = size + lo, where the chunk's source
-        # begins, so a chunk neither overlaps its source nor overwrites
-        # entries still to be read.  Only the short tail would overlap, so
-        # it is copied out first.
-        top = halves[1]
-        lo, c = 0, size // 2
-        while c >= 1 << 10:
-            out[lo : lo + c] = top[lo : lo + c]
-            lo += c
-            c //= 2
-        out[lo:] = top[lo:].copy()
         if n < 3:
             out = out[: 1 << n] >> (3 - n)
         f._spectrum = WalshSpectrum(n, out)

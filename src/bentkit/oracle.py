@@ -138,8 +138,8 @@ class OracleReport:
 
 
 def verify_walsh(f: BooleanFunction) -> OracleReport:
-    fast = walsh_transform(f).values
-    slow = naive_walsh(f).values
+    fast = walsh_transform(f)._raw
+    slow = naive_walsh(f)._raw
     diff = np.nonzero(fast != slow)[0]
     if diff.size:
         w = int(diff[0])
@@ -176,7 +176,7 @@ def verify_bent(f: BooleanFunction) -> OracleReport:
     fast = is_bent(f)
     amp = 1 << (f.n // 2)
     slow = f.n % 2 == 0 and bool(
-        np.all(np.abs(naive_walsh(f).values) == amp)
+        np.all(np.abs(naive_walsh(f)._raw) == amp)
     )
     if fast != slow:
         return OracleReport("bent", False, (None, fast, slow))

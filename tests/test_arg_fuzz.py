@@ -62,7 +62,7 @@ _KINDS = {
     "point": _INT | st.lists(_INT, max_size=9),
     "pair": st.tuples(_INT, _INT),
     "table": _INT | st.lists(st.integers(0, 2), max_size=9),
-    "spectrum": st.lists(st.integers(-8, 8), max_size=9),
+    "spectrum": st.lists(st.integers(-8, 8) | st.sampled_from([4.7, 2**70]), max_size=9),
     "fn": st.sampled_from(_FUNCTIONS),
     "anf": st.sampled_from(_FUNCTIONS).map(mobius),
     "walsh": st.sampled_from(_FUNCTIONS).map(walsh_transform),

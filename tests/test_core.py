@@ -177,6 +177,34 @@ def test_walsh_spectrum_rejects_non_parseval():
         WalshSpectrum(2, np.array([4, 4, 0, 0]))
 
 
+def test_walsh_spectrum_rejects_values_beyond_2_to_the_n():
+    # 2^2 + (2^32)^2 = 4 + 2^64, which wraps to 4 = 2^(2n) in int64
+    with pytest.raises(ValueError, match=re.escape("must lie in [-2^1, 2^1]")):
+        WalshSpectrum(1, np.array([2, 1 << 32]))
+    with pytest.raises(ValueError, match=re.escape("must lie in [-2^2, 2^2]")):
+        WalshSpectrum(2, np.array([-5, 0, 0, 0]))
+
+
+def test_parseval_sum_does_not_wrap_at_large_n():
+    # 2^20 + 1 entries of 2^22, each in range: their squares sum to
+    # 2^64 + 2^44, which wraps to 2^44 = 2^(2n) in an int64 sum
+    n = 22
+    values = np.zeros(1 << n, np.int32)
+    values[: (1 << 20) + 1] = 1 << n
+    with pytest.raises(ValueError, match="Parseval"):
+        WalshSpectrum(n, values)
+
+
+def test_walsh_spectrum_holds_an_int32_array_as_given():
+    values = np.array([2, 2, 2, -2], np.int32)
+    spec = WalshSpectrum(2, values)
+    assert spec._raw is values and not values.flags.writeable
+    assert spec.max_abs == 2 and spec[3] == -2
+    assert spec == WalshSpectrum(2, [2, 2, 2, -2])
+    assert spec.values is spec.values  # widened once
+    assert spec.values.tolist() == [2, 2, 2, -2]
+
+
 @settings(max_examples=40)
 @given(st.integers(1, 8), SEEDS)
 def test_walsh_w0_is_weight_identity(n, seed):
@@ -243,8 +271,9 @@ def test_max_abs_reads_the_negative_extreme():
 
 
 def test_walsh_allocates_the_result_and_little_else():
-    # the int64 result is 8 bytes per entry and its int32 halves are the
-    # work buffers, so little else may be allocated
+    # the int32 result is 4 bytes per entry; the three int16 work blocks
+    # take 0.75 and the Parseval check's buffers about 0.13 at n = 20, so
+    # an int64 or a second int32 copy of the spectrum cannot hide here
     n = 20
     f = random_mm_bent(n, XorShift64Star(20))
     tracemalloc.start()
@@ -253,7 +282,7 @@ def test_walsh_allocates_the_result_and_little_else():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9.5 * (1 << n), peak / (1 << n)
+    assert peak < 5.5 * (1 << n), peak / (1 << n)
 
 
 def test_byte_table_is_the_3_variable_spectrum():
@@ -610,6 +639,10 @@ def test_degree_of_xor_bounded(n, s1, s2):
                  "inputs must share a variable count, got 3 and 2", id="and-counts"),
     pytest.param(lambda: WalshSpectrum(2, [4, 0, 0]), ValueError,
                  "spectrum length must be 4", id="spectrum-length"),
+    pytest.param(lambda: WalshSpectrum(2, [4.7, 0, 0, 0]), TypeError,
+                 "spectrum values must be integers, not float64", id="spectrum-float"),
+    pytest.param(lambda: WalshSpectrum(1, [2, 2**70]), TypeError,
+                 "spectrum values must be integers, not object", id="spectrum-huge"),
     pytest.param(lambda: AnfPolynomial(0, 0), ValueError,
                  "variable count must be in [1, 26], got 0", id="anf-count"),
     pytest.param(lambda: AnfPolynomial(2, 1 << 4), ValueError,

@@ -96,6 +96,25 @@ def test_only_core_integer_calls_operator_index():
     assert not uses, f"operator.index outside core._integer at {uses}"
 
 
+def test_no_module_reads_a_spectrum_as_int64():
+    # WalshSpectrum.values widens the int32 spectrum into a new int64
+    # array, 512 MiB at the cap, so the package reads the int32 array;
+    # BooleanFunction.values() and dict.values() are calls and pass
+    core = ast.parse((ROOT / "src" / "bentkit" / "core.py").read_text())
+    spectrum = next(node for node in core.body if getattr(node, "name", None) == "WalshSpectrum")
+    assert any(isinstance(node, ast.FunctionDef) and node.name == "values"
+               and [d.id for d in node.decorator_list] == ["property"]
+               for node in spectrum.body), "WalshSpectrum.values is no longer a property"
+    reads = []
+    for path in sorted((ROOT / "src" / "bentkit").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        reads += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "values"
+                  and id(node) not in called]
+    assert not reads, f"a spectrum's .values read at {reads}"
+
+
 def test_submodules_resolve_as_attributes():
     assert python("import bentkit; print(bentkit.analysis.__name__)") == "bentkit.analysis"
 
