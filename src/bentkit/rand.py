@@ -7,6 +7,8 @@ touches the stdlib RNG.
 
 from __future__ import annotations
 
+from itertools import chain, islice
+
 import numpy as np
 
 from .constructions import (
@@ -20,11 +22,12 @@ from .constructions import (
     psap_bent,
 )
 from .core import MAX_VARS, BooleanFunction, _integer
-from .galois import GaloisField
+from .galois import MAX_DEGREE, GaloisField
 from .analysis import is_resilient
 
 _MASK64 = (1 << 64) - 1
 _MULT = 0x2545F4914F6CDD1D
+_MULT_INV = pow(_MULT, -1, 1 << 64)  # the multiplier is odd
 _ZERO_SEED_STATE = 0x9E3779B97F4A7C15  # the state seed 0 starts from
 _BLOCK = 256  # words drawn at a time
 
@@ -50,16 +53,29 @@ def _jump() -> np.ndarray:
     return _JUMP
 
 
+def _blocks(x: int):
+    """The words after the state x, a list of 256 per block.  The body, and
+    so _jump, first runs when the first block is drawn."""
+    table = _jump()
+    while True:
+        units = np.frombuffer(x.to_bytes(8, "little"), np.uint8)
+        states = np.bitwise_xor.reduce(
+            table[np.unpackbits(units, bitorder="little").view(bool)], axis=0)
+        x = int(states[-1])
+        yield (states * _MULT).tolist()  # uint64 wraps mod 2^64
+
+
 class XorShift64Star:
     """xorshift64* with the usual multiplier.  Seeds are 0 to 2^64 - 1, one
     stream each: seed 0 starts from the state 0x9E3779B97F4A7C15 (the state
     must stay nonzero), which is therefore no seed itself.
 
-    Words are drawn 256 at a time from the jump table, and every draw reads
-    the block's list of words; a block is refilled when it is used up.
+    Every draw reads one iterator over the words, which draws them 256 at a
+    time from the jump table.  It holds a generator, so an XorShift64Star
+    cannot be pickled or copied: a shallow copy would share the iterator.
     """
 
-    __slots__ = ("_states", "_words", "_i")
+    __slots__ = ("_words", "_last")
 
     def __init__(self, seed: int):
         seed = _integer(seed, "seed", 0, _MASK64)
@@ -67,35 +83,21 @@ class XorShift64Star:
             raise ValueError(
                 f"seed must not be {seed} (0x{seed:X}), the state that seed 0 stands for"
             )
-        # _states[i]: the state after the block's first i words, _states[0]
-        # the one before the block; _words: the block's words, _i of them drawn
-        self._states = np.array([seed or _ZERO_SEED_STATE], np.uint64)
-        self._words: list[int] = []
-        self._i = 0
+        x = seed or _ZERO_SEED_STATE
+        self._words = chain.from_iterable(_blocks(x))
+        self._last = x * _MULT & _MASK64  # so state reads x before any draw
+
+    def __reduce__(self):
+        raise TypeError("an XorShift64Star cannot be copied or pickled; seed a new one")
 
     @property
     def state(self) -> int:
         """The state after the last word drawn."""
-        return int(self._states[self._i])
-
-    def _refill(self) -> None:
-        x = self._states[-1]
-        units = np.frombuffer(int(x).to_bytes(8, "little"), np.uint8)
-        states = np.empty(_BLOCK + 1, np.uint64)
-        states[0] = x
-        rows = _jump()[np.unpackbits(units, bitorder="little").view(bool)]
-        np.bitwise_xor.reduce(rows, axis=0, out=states[1:])
-        self._states = states
-        self._words = (states[1:] * _MULT).tolist()  # uint64 wraps mod 2^64
-        self._i = 0
+        return self._last * _MULT_INV & _MASK64
 
     def next_u64(self) -> int:
-        i = self._i
-        if i == len(self._words):
-            self._refill()
-            i = 0
-        self._i = i + 1
-        return self._words[i]
+        self._last = w = next(self._words)
+        return w
 
     def bits(self, k: int) -> int:
         """A uniform k-bit integer, k at most 2^MAX_VARS (a whole table): the
@@ -103,14 +105,8 @@ class XorShift64Star:
         k = _integer(k, "bit count", 0, 1 << MAX_VARS)
         if k <= 64:  # the common draw: one word, no join
             return self.next_u64() >> (64 - k) if k else 0
-        words, need = [], -(-k // 64)
-        while need:  # consecutive words, across blocks
-            if self._i == len(self._words):
-                self._refill()
-            chunk = self._words[self._i : self._i + need]
-            self._i += len(chunk)
-            need -= len(chunk)
-            words += chunk
+        words = list(islice(self._words, -(-k // 64)))
+        self._last = words[-1]
         raw = np.array(words, ">u8").tobytes()
         return int.from_bytes(raw, "big") >> (64 * len(words) - k)
 
@@ -127,15 +123,10 @@ class XorShift64Star:
         if k == 0:  # bits(0) draws no word
             return 0
         shift = 64 - k
-        words, i = self._words, self._i
-        while True:
-            if i == len(words):
-                self._refill()
-                words, i = self._words, 0
-            v = words[i] >> shift
-            i += 1
+        for w in self._words:
+            v = w >> shift
             if v < n:
-                self._i = i
+                self._last = w
                 return v
 
     def randint(self, lo: int, hi: int) -> int:
@@ -147,19 +138,15 @@ class XorShift64Star:
 
     def shuffle(self, items: list) -> None:
         """Fisher-Yates from the end, j = randrange(i + 1) at each i."""
-        words, w, end = self._words, self._i, len(self._words)
+        words, w = self._words, self._last
         for i in range(len(items) - 1, 0, -1):
             shift = 64 - i.bit_length()
-            while True:
-                if w == end:
-                    self._refill()
-                    words, w, end = self._words, 0, len(self._words)
-                j = words[w] >> shift
-                w += 1
+            for w in words:
+                j = w >> shift
                 if j <= i:
                     break
             items[i], items[j] = items[j], items[i]
-        self._i = w
+        self._last = w
 
 
 _FIELDS: dict[int, GaloisField] = {}
@@ -171,8 +158,20 @@ def _field(m: int) -> GaloisField:
     return _FIELDS[m]
 
 
+def _variables(n: int) -> int:
+    return _integer(n, "variable count", 1, MAX_VARS)
+
+
+def _half(n: int) -> int:
+    """Half the variable count n of a bent function, which must be even."""
+    n = _integer(n, "variable count", 2, MAX_VARS)
+    if n % 2:
+        raise ValueError(f"a bent function needs an even variable count, got {n}")
+    return n // 2
+
+
 def random_function(n: int, rng: XorShift64Star) -> BooleanFunction:
-    return BooleanFunction(n, rng.bits(1 << n))
+    return BooleanFunction(n, rng.bits(1 << _variables(n)))
 
 
 # bytes.translate table: the entries 0 and 1 to the digits "0" and "1"
@@ -180,7 +179,7 @@ _DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def random_balanced(n: int, rng: XorShift64Star) -> BooleanFunction:
-    half = 1 << (n - 1)
+    half = 1 << (_variables(n) - 1)
     table = [1] * half + [0] * half
     rng.shuffle(table)
     # the last entry is the most significant digit of the packed mask
@@ -188,6 +187,9 @@ def random_balanced(n: int, rng: XorShift64Star) -> BooleanFunction:
 
 
 def random_permutation(k: int, rng: XorShift64Star, fix_zero: bool = False):
+    """A permutation of F_2^k, k at most MAX_VARS / 2: every caller builds a
+    2k-variable function from it."""
+    k = _integer(k, "k", 1, MAX_VARS // 2)
     images = list(range(1 << k))
     rng.shuffle(images)
     if fix_zero and images[0] != 0:
@@ -197,6 +199,8 @@ def random_permutation(k: int, rng: XorShift64Star, fix_zero: bool = False):
 
 
 def random_affine(n: int, rng: XorShift64Star, min_weight: int = 0) -> BooleanFunction:
+    n = _variables(n)
+    min_weight = _integer(min_weight, "minimum weight", 0, n)
     while True:
         mask = rng.bits(n)
         if mask.bit_count() >= min_weight:
@@ -204,25 +208,25 @@ def random_affine(n: int, rng: XorShift64Star, min_weight: int = 0) -> BooleanFu
 
 
 def random_mm_bent(n: int, rng: XorShift64Star) -> BooleanFunction:
-    k = n // 2
+    k = _half(n)
     return mm_function(random_permutation(k, rng), random_function(k, rng))
 
 
 def random_balanced_field_table(m: int, rng: XorShift64Star) -> list[int]:
     """A balanced bit table over GF(2^m) with value 0 at the element 0."""
-    half = 1 << (m - 1)
+    half = 1 << (_integer(m, "extension degree", 1, MAX_DEGREE) - 1)
     rest = [1] * half + [0] * (half - 1)
     rng.shuffle(rest)
     return [0] + rest
 
 
 def random_psap_bent(n: int, rng: XorShift64Star) -> BooleanFunction:
-    m = n // 2
+    m = _half(n)
     return psap_bent(_field(m), random_balanced_field_table(m, rng))
 
 
 def random_class_d_bent(n: int, rng: XorShift64Star) -> BooleanFunction:
-    k = n // 2
+    k = _half(n)
     phi = random_permutation(k, rng, fix_zero=True)
     pick = rng.randrange(3)
     if pick == 0:
@@ -239,12 +243,16 @@ _BENT_FAMILIES = (random_mm_bent, random_psap_bent, random_class_d_bent)
 
 def random_bent(n: int, rng: XorShift64Star) -> BooleanFunction:
     """A bent function drawn from the M-M / PS_ap / class-D builders."""
+    _half(n)  # before the family is drawn
     return _BENT_FAMILIES[rng.randrange(3)](n, rng)
 
 
 def random_resilient(n: int, t: int, rng: XorShift64Star) -> BooleanFunction:
-    """A t-resilient n-variable function (t >= 0)."""
-    if t == 0:
+    """A t-resilient n-variable function, t >= -1; for t = -1, as for
+    t = 0, a balanced one."""
+    n = _variables(n)
+    t = _integer(t, "resiliency order t", -1)
+    if t <= 0:
         return random_balanced(n, rng)
     if t >= n:
         raise ValueError(f"no {t}-resilient functions on {n} variables")
@@ -292,7 +300,7 @@ def random_mm_bent_triple(
     n: int, rng: XorShift64Star
 ) -> tuple[BooleanFunction, BooleanFunction, BooleanFunction]:
     """Three M-M bent functions over one permutation; their XOR is bent."""
-    k = n // 2
+    k = _half(n)
     phi = random_permutation(k, rng)
     return tuple(mm_function(phi, random_function(k, rng)) for _ in range(3))
 
@@ -300,7 +308,7 @@ def random_mm_bent_triple(
 def random_derivative_triple(n: int, rng: XorShift64Star) -> tuple[BentTriple, int]:
     """A bent triple (f, f(.+a), g) where f, g are M-M functions
     over one permutation and a is nonzero on the affine block only."""
-    k = n // 2
+    k = _half(n)
     phi = random_permutation(k, rng)
     f = mm_function(phi, random_function(k, rng))
     g = mm_function(phi, random_function(k, rng))

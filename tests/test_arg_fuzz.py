@@ -3,14 +3,14 @@
 Every callable in `bentkit.__all__` is called with drawn arguments, and so
 is each method of BooleanFunction, AnfPolynomial, WalshSpectrum,
 GaloisField, PermutationMap, LinearSubspace and XorShift64Star that takes
-an integer.  An integer argument, or an entry of a table, is drawn in
-range, out of range, or as a float, a bool, a NumPy scalar, None or a
-string; a function argument is one of a few functions of 1 to 8
-variables, so the variable counts of two arguments may differ.  Every
-call must return or raise ValueError (PremiseError, CapError and
-TruthTableFormatError are ValueErrors) or TypeError, and no message may
-be an operator's error from inside the arithmetic, which names no
-argument.  New boundary cases go into these strategies, not into new
+an integer, and every draw in bentkit.rand.  An integer argument, or an
+entry of a table, is drawn in range, out of range, or as a float, a bool,
+a NumPy scalar, None or a string; a function argument is one of a few
+functions of 1 to 8 variables, so the variable counts of two arguments
+may differ.  Every call must return or raise ValueError (PremiseError,
+CapError and TruthTableFormatError are ValueErrors) or TypeError, and no
+message may be an operator's error from inside the arithmetic, which
+names no argument.  New boundary cases go into these strategies, not into new
 rows of the per-module bad-call tables; those rows hold the wrong answers
 a call returns rather than raises, which the property cannot see.
 """
@@ -167,6 +167,19 @@ _CALLS = {
     "XorShift64Star.bits": ("rng", "int"),
     "XorShift64Star.randrange": ("rng", "int"),
     "XorShift64Star.randint": ("rng", "int", "int"),
+    "rand.random_function": ("int", "rng"),
+    "rand.random_balanced": ("int", "rng"),
+    "rand.random_permutation": ("int", "rng"),
+    "rand.random_affine": ("int", "rng", "int"),
+    "rand.random_mm_bent": ("int", "rng"),
+    "rand.random_balanced_field_table": ("int", "rng"),
+    "rand.random_psap_bent": ("int", "rng"),
+    "rand.random_class_d_bent": ("int", "rng"),
+    "rand.random_bent": ("int", "rng"),
+    "rand.random_resilient": ("int", "int", "rng"),
+    "rand.random_resilient_triple": ("int", "int", "rng"),
+    "rand.random_mm_bent_triple": ("int", "rng"),
+    "rand.random_derivative_triple": ("int", "rng"),
 }
 
 # what an operator raises when an unread argument reaches the arithmetic

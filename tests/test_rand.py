@@ -1,3 +1,6 @@
+import copy
+import hashlib
+import pickle
 import re
 
 import pytest
@@ -11,10 +14,14 @@ from bentkit.cli import main
 from bentkit.rand import (
     XorShift64Star,
     random_balanced,
+    random_balanced_field_table,
     random_bent,
+    random_class_d_bent,
     random_derivative_triple,
+    random_mm_bent,
     random_mm_bent_triple,
     random_permutation,
+    random_psap_bent,
     random_resilient,
     random_resilient_triple,
 )
@@ -52,10 +59,54 @@ def test_prng_determinism_and_ranges():
                  id="seed-above-64-bits"),
     pytest.param(lambda rng: XorShift64Star(0x9E3779B97F4A7C15),
                  "the state that seed 0 stands for", id="seed-zero-state"),
+    # sizes a draw cannot take; an odd bent size could yield a bent function
+    # on one variable fewer, and k = 14 a permutation too wide for any
+    # 2k <= 26 variables: wrong answers, which the argument fuzz cannot see
+    pytest.param(lambda rng: random_mm_bent(5, rng),
+                 "a bent function needs an even variable count, got 5", id="mm-odd"),
+    pytest.param(lambda rng: random_bent(3, rng),
+                 "a bent function needs an even variable count, got 3", id="bent-odd"),
+    pytest.param(lambda rng: random_bent(0, rng),
+                 "variable count must be in [2, 26], got 0", id="bent-zero"),
+    pytest.param(lambda rng: random_psap_bent(7, rng),
+                 "a bent function needs an even variable count, got 7", id="psap-odd"),
+    pytest.param(lambda rng: random_class_d_bent(5, rng),
+                 "a bent function needs an even variable count, got 5", id="class-d-odd"),
+    pytest.param(lambda rng: random_mm_bent_triple(5, rng),
+                 "a bent function needs an even variable count, got 5", id="mm-triple-odd"),
+    pytest.param(lambda rng: random_derivative_triple(1, rng),
+                 "variable count must be in [2, 26], got 1", id="derivative-triple-one"),
+    pytest.param(lambda rng: random_balanced(0, rng),
+                 "variable count must be in [1, 26], got 0", id="balanced-zero"),
+    pytest.param(lambda rng: random_resilient(4, -3, rng),
+                 "resiliency order t must be in [-1, inf], got -3",
+                 id="resilient-t-below-minus-1"),
+    pytest.param(lambda rng: random_permutation(14, rng),
+                 "k must be in [1, 13], got 14", id="permutation-too-wide"),
 ])
 def test_bad_arguments_raise_with_a_message(call, fragment):
+    rng = XorShift64Star(1)
     with pytest.raises(ValueError, match=re.escape(fragment)):
-        call(XorShift64Star(1))
+        call(rng)
+    assert rng.state == XorShift64Star(1).state  # read before a word is drawn
+
+
+def test_minus_one_resilient_draws_as_zero_resilient():
+    # every function is (-1)-resilient; on 5 of these seeds an M-M draw
+    # would need a map to r = 0 coordinates
+    for seed in range(20):
+        a, b = XorShift64Star(seed), XorShift64Star(seed)
+        f = random_resilient(4, -1, a)
+        assert f.is_balanced
+        assert (f, a.state) == (random_resilient(4, 0, b), b.state)
+
+
+def test_a_generator_cannot_be_copied():
+    # a shallow copy would draw from the same word iterator as the original
+    rng = XorShift64Star(3)
+    for copier in (copy.copy, copy.deepcopy, pickle.dumps):
+        with pytest.raises(TypeError, match="cannot be copied or pickled"):
+            copier(rng)
 
 
 def test_each_seed_is_its_own_stream():
@@ -271,3 +322,44 @@ def test_mm_triple_and_derivative_triple():
     triple, a = random_derivative_triple(6, rng)
     assert isinstance(triple, BentTriple)
     assert a != 0 and a < (1 << 6)
+
+
+def _tables(functions):
+    return [(f.n, f.mask) for f in functions]
+
+
+def _derivative_triple(rng):
+    triple, a = random_derivative_triple(6, rng)
+    return _tables([triple.f1, triple.f2, triple.f3]), a
+
+
+# SHA-256 of repr((draw(rng), rng.state)) for a generator of the given
+# seed, taken before the generator read its words from one iterator.  They
+# reach the PS_ap and class-D draws and t >= 1, which no pinned build does.
+PINNED_DRAWS = {
+    "bent-6": (31, lambda rng: _tables([random_bent(6, rng) for _ in range(12)]),
+               "adc74d83e949857733dcd334c3526b79d7c50dc77c76aa19ca0a5b581c9da28c"),
+    "bent-8": (31, lambda rng: _tables([random_bent(8, rng) for _ in range(12)]),
+               "dffe480174785efb6ac3b80da9f0fac5de703048d6a809dbba29e3076b21e659"),
+    "resilient-triple-t0": (37, lambda rng: _tables(random_resilient_triple(6, 0, rng)),
+                            "67a85c496c14ab012bfe47382b3034316e60e163c7517f1bb5989efa52d82fb2"),
+    "resilient-triple-t1": (37, lambda rng: _tables(random_resilient_triple(6, 1, rng)),
+                            "5749404e83050962c8988889e2e0a87007daa8e871237ec48db3ec08c25577b5"),
+    "resilient-triple-t2": (37, lambda rng: _tables(random_resilient_triple(6, 2, rng)),
+                            "95e764b2c261455ff81520e170ec2ff903a1e24aa6455ae4f1246b403214caa1"),
+    "derivative-triple": (41, _derivative_triple,
+                          "4e1c056c6b5beee70fc77c9329ac0438b2497cad100957c352e7f4c91cbd58b7"),
+    "field-table": (43, lambda rng: random_balanced_field_table(9, rng),
+                    "9589e5624ec23e4a7b2d792e534fd6821fc376403d18487d824b91e1ef474e41"),
+    # 200 words, then 79 words across the end of the first block
+    "bits-5000": (47, lambda rng: ([rng.next_u64() for _ in range(200)], rng.bits(5000)),
+                  "8b4127fa95578c5a04555d98171f48a50d30a3595f4db3586d60b75c0527dc6b"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_DRAWS)
+def test_draws_are_pinned(name):
+    seed, draw, want = PINNED_DRAWS[name]
+    rng = XorShift64Star(seed)
+    got = draw(rng)
+    assert hashlib.sha256(repr((got, rng.state)).encode()).hexdigest() == want
