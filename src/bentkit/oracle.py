@@ -24,64 +24,51 @@ WALSH_CAP = 14
 NONLINEARITY_CAP = 12
 RESILIENCY_CAP = 10
 
-_SIGN_MATRIX_CACHE: dict[int, np.ndarray] = {}
-_SIGN_MATRIX_MAX_N = 12  # 2^24 int8 entries = 16 MiB
+_BLOCK = 1 << 18  # entries of the linear-function tables built at once
 
 
-def _sign_matrix(n: int) -> np.ndarray:
-    """H[w, x] = (-1)^(w.x) built by Sylvester doubling."""
-    mat = _SIGN_MATRIX_CACHE.get(n)
-    if mat is None:
-        mat = np.array([[1]], dtype=np.int8)
-        block = np.array([[1, 1], [1, -1]], dtype=np.int8)
-        for _ in range(n):
-            mat = np.kron(mat, block)
-        mat.flags.writeable = False
-        _SIGN_MATRIX_CACHE[n] = mat
-    return mat
+def _distances(f: BooleanFunction) -> np.ndarray:
+    """d(w) = wt(f + w.x) for every w, as int32.
+
+    The table of each linear function w.x is popcount(w & x) mod 2 over
+    every x; it is XORed with f's table and its ones counted, a block of
+    rows w at a time (the caps keep a row of 2^n within a block)."""
+    size = 1 << f.n
+    x = np.arange(size, dtype=np.uint32)
+    bits = f.values()
+    rows = _BLOCK >> f.n
+    d = np.empty(size, dtype=np.int32)
+    for start in range(0, size, rows):
+        lin = np.bitwise_count(x[start:start + rows, None] & x) & 1
+        d[start:start + rows] = np.count_nonzero(lin ^ bits, axis=1)
+    return d
 
 
 def naive_walsh(f: BooleanFunction) -> WalshSpectrum:
-    """Definitional spectrum: W(w) = sum_x (-1)^(f(x) xor w.x).
-
-    Evaluated as the full 2^n x 2^n sign-matrix sum (O(4^n)); no
-    butterfly anywhere on this path.
+    """Definitional spectrum: W(w) = sum_x (-1)^(f(x) xor w.x), the
+    number of points where f agrees with w.x minus the number where it
+    does not, 2^n - 2 d(w) (O(4^n)); no butterfly anywhere on this path.
     """
     if f.n > WALSH_CAP:
         raise CapError(f"naive Walsh transform capped at n={WALSH_CAP}")
-    signs = f.signs()
-    if f.n <= _SIGN_MATRIX_MAX_N:
-        values = _sign_matrix(f.n) @ signs
-    else:
-        size = 1 << f.n
-        idx = np.arange(size, dtype=np.uint32)
-        parity = (np.bitwise_count(idx) & 1).astype(np.int64)
-        values = np.empty(size, dtype=np.int64)
-        for w in range(size):
-            values[w] = np.dot(signs, 1 - 2 * parity[idx & np.uint32(w)])
-    return WalshSpectrum(f.n, values)
+    return WalshSpectrum(f.n, (1 << f.n) - 2 * _distances(f))
 
 
 def exhaustive_nonlinearity(f: BooleanFunction) -> int:
-    """Minimum Hamming distance to all 2^(n+1) affine functions."""
+    """Minimum Hamming distance to all 2^(n+1) affine functions: w.x
+    lies at distance d(w) and its complement at 2^n - d(w)."""
     if f.n > NONLINEARITY_CAP:
         raise CapError(f"exhaustive nonlinearity capped at n={NONLINEARITY_CAP}")
-    size = 1 << f.n
-    idx = np.arange(size, dtype=np.uint32)
-    parity = np.bitwise_count(idx) & 1
-    bits = f.values()
-    best = size
-    for w in range(size):
-        lin = parity[idx & np.uint32(w)]
-        d = int(np.count_nonzero(bits ^ lin))
-        best = min(best, d, size - d)
-    return best
+    d = _distances(f)
+    return int(np.minimum(d, (1 << f.n) - d).min())
 
 
 def correlation_immune_by_definition(f: BooleanFunction, r: int) -> bool:
     """True iff the output is statistically independent of every set of
     r input variables: each subfunction fixed on such a set must carry
-    weight wt(f)/2^r."""
+    weight wt(f)/2^r.  Each point is keyed by its values on the set, and
+    one bincount of the keys where f = 1, read back at every point's
+    key, gives the weight of the subfunction that point lies in."""
     if f.n > RESILIENCY_CAP:
         raise CapError(f"definition-level resiliency capped at n={RESILIENCY_CAP}")
     r = _integer(r, "order r", 0, f.n)
@@ -89,21 +76,14 @@ def correlation_immune_by_definition(f: BooleanFunction, r: int) -> bool:
     if total % (1 << r):
         return False
     expect = total >> r
-    bits = f.values()
-    idx = np.arange(1 << f.n, dtype=np.uint32)
-    for subset in itertools.combinations(range(1, f.n + 1), r):
-        mask = 0
-        for j in subset:
-            mask |= 1 << (f.n - j)
-        sel = idx & np.uint32(mask)
-        for assignment in range(1 << r):
-            # spread the assignment bits onto the subset's positions
-            pattern = 0
-            for k, j in enumerate(subset):
-                if (assignment >> (r - 1 - k)) & 1:
-                    pattern |= 1 << (f.n - j)
-            if int(bits[sel == np.uint32(pattern)].sum()) != expect:
-                return False
+    size = 1 << f.n
+    idx = np.arange(size, dtype=np.uint32)
+    ones = idx[f.values() == 1]
+    for subset in itertools.combinations([1 << i for i in range(f.n)], r):
+        mask = np.uint32(sum(subset))
+        weights = np.bincount(ones & mask, minlength=size)
+        if np.any(weights[idx & mask] != expect):
+            return False
     return True
 
 
@@ -137,9 +117,13 @@ class OracleReport:
         }
 
 
+# Each verifier runs its oracle first, so that an input above the
+# oracle's cap is refused before any fast-path work.
+
+
 def verify_walsh(f: BooleanFunction) -> OracleReport:
-    fast = walsh_transform(f)._raw
     slow = naive_walsh(f)._raw
+    fast = walsh_transform(f)._raw
     diff = np.nonzero(fast != slow)[0]
     if diff.size:
         w = int(diff[0])
@@ -148,8 +132,8 @@ def verify_walsh(f: BooleanFunction) -> OracleReport:
 
 
 def verify_nonlinearity(f: BooleanFunction) -> OracleReport:
-    fast = nonlinearity(f)
     slow = exhaustive_nonlinearity(f)
+    fast = nonlinearity(f)
     if fast != slow:
         return OracleReport("nonlinearity", False, (None, fast, slow))
     return OracleReport("nonlinearity", True)
@@ -173,11 +157,11 @@ def verify_resiliency(f: BooleanFunction) -> OracleReport:
 
 
 def verify_bent(f: BooleanFunction) -> OracleReport:
-    fast = is_bent(f)
     amp = 1 << (f.n // 2)
     slow = f.n % 2 == 0 and bool(
         np.all(np.abs(naive_walsh(f)._raw) == amp)
     )
+    fast = is_bent(f)
     if fast != slow:
         return OracleReport("bent", False, (None, fast, slow))
     return OracleReport("bent", True)

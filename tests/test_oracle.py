@@ -1,10 +1,13 @@
+import itertools
 import re
+import tracemalloc
 
 import pytest
 
 from bentkit import (
     BooleanFunction,
     CapError,
+    encode_point,
     exhaustive_nonlinearity,
     naive_walsh,
     nonlinearity,
@@ -40,7 +43,7 @@ def test_naive_matches_butterfly_n4_slice():
 
 
 def test_naive_matches_butterfly_above_matrix_cutoff():
-    # n = 13 exercises the per-mask loop instead of the cached matrix
+    # n = 13 builds its linear-function tables in blocks of 32 rows
     f = random_function(13, XorShift64Star(900))
     assert list(naive_walsh(f).values) == list(walsh_transform(f).values)
 
@@ -51,6 +54,68 @@ def test_naive_matches_butterfly_every_n_to_10():
         for _ in range(5):
             f = random_function(n, rng)
             assert list(naive_walsh(f).values) == list(walsh_transform(f).values)
+
+
+def test_oracles_allocate_a_block_of_tables_and_little_else():
+    # one block of linear-function tables is at most 2^18 entries, a few
+    # bytes each; a 2^n x 2^n sign matrix at n = 12 alone is 16 MiB
+    f = random_function(12, XorShift64Star(902))
+    for oracle in (naive_walsh, exhaustive_nonlinearity):
+        tracemalloc.start()
+        try:
+            oracle(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, (oracle.__name__, peak)
+
+
+def _points(n):
+    return list(itertools.product((0, 1), repeat=n))
+
+
+def _dot(w, x):
+    return sum(a * b for a, b in zip(w, x)) % 2
+
+
+def _every_function_to_n3():
+    for n in (1, 2, 3):
+        for mask in range(1 << (1 << n)):
+            yield BooleanFunction(n, mask)
+
+
+def test_naive_walsh_is_the_double_sum():
+    for f in _every_function_to_n3():
+        points = _points(f.n)
+        spectrum = naive_walsh(f)
+        for w in points:
+            total = sum((-1) ** (f(x) ^ _dot(w, x)) for x in points)
+            assert spectrum[encode_point(w)] == total, (f, w)
+
+
+def test_exhaustive_nonlinearity_is_the_least_affine_distance():
+    for f in _every_function_to_n3():
+        points = _points(f.n)
+        least = min(
+            sum(f(x) != (_dot(w, x) ^ c) for x in points)
+            for w in points
+            for c in (0, 1)
+        )
+        assert exhaustive_nonlinearity(f) == least, f
+
+
+def test_correlation_immunity_weighs_every_subfunction():
+    for f in _every_function_to_n3():
+        points = _points(f.n)
+        for r in range(f.n + 1):
+            # every subfunction on r fixed variables carries wt(f) / 2^r
+            weights = [
+                sum(f(x) for x in points if [x[i] for i in subset] == list(fixed))
+                for subset in itertools.combinations(range(f.n), r)
+                for fixed in itertools.product((0, 1), repeat=r)
+            ]
+            expect = all(w << r == f.weight for w in weights)
+            assert correlation_immune_by_definition(f, r) == expect, (f, r)
 
 
 def test_exhaustive_nonlinearity_affine_is_zero():
@@ -161,6 +226,24 @@ def test_caps():
         exhaustive_nonlinearity(BooleanFunction.zero(13))
     with pytest.raises(CapError):
         resiliency_by_definition(BooleanFunction.zero(11), 1)
+
+
+@pytest.mark.parametrize("verifier, fast, n", [
+    (verify_walsh, "walsh_transform", 15),
+    (verify_nonlinearity, "nonlinearity", 13),
+    (verify_bent, "is_bent", 16),
+])
+def test_verifiers_refuse_above_the_cap_before_the_fast_path(
+    monkeypatch, verifier, fast, n
+):
+    from bentkit import oracle
+
+    def refuse(f):
+        raise AssertionError(f"{fast} ran above the oracle's cap")
+
+    monkeypatch.setattr(oracle, fast, refuse)
+    with pytest.raises(CapError):
+        verifier(BooleanFunction.zero(n))
 
 
 def test_verify_reports():
