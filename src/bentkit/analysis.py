@@ -44,13 +44,7 @@ def dual(f: BooleanFunction) -> BooleanFunction:
     return BooleanFunction(f.n, _pack_bits(walsh_transform(f)._raw < 0))
 
 
-# resiliency_report scans the spectrum as rows of _ROW entries, _ROWS rows
-# at a time: the weight of w is that of its offset in the row plus that of
-# the row's index, each from a table.
-_ROW = 1 << 12
-_ROWS = 16
-_OFFSET_WEIGHT = np.bitwise_count(np.arange(_ROW, dtype=np.uint16))
-_ROW_WEIGHT = np.bitwise_count(np.arange(1 << (MAX_VARS - 12)))[:, None]
+_CHUNK = 1 << 14  # spectrum entries read at a time by the scans below
 _UNITS = 1 << np.arange(MAX_VARS)  # the points w of weight 1
 
 
@@ -66,22 +60,24 @@ def resiliency_report(f: BooleanFunction) -> ResiliencyReport:
     equals ci_order for balanced functions and -1 otherwise.
 
     The n weight-1 entries W_f(2^j) are read first, and a nonzero one
-    answers at once (every bent function does).  Otherwise the spectrum is
-    scanned _ROWS rows at a time, so no spectrum-sized temporary is made.
+    answers at once (every bent function does).  Otherwise the least
+    weight of a w != 0 with W_f(w) != 0 is taken one _CHUNK-entry slice
+    of the spectrum at a time, so no spectrum-sized temporary is made.
+    Every w in the slice at lo weighs at least wt(lo), so a slice is
+    skipped once wt(lo) reaches the least weight found.
     """
     spec = walsh_transform(f)._raw
     if spec[_UNITS[: f.n]].any():
         return ResiliencyReport(0, 0 if spec[0] == 0 else -1)
-    rows = spec.reshape(-1, min(_ROW, spec.shape[0]))
-    none = np.uint8(f.n + 1)  # above every weight: W_f(w) = 0 for all w != 0
-    least = f.n + 1
-    for r in range(0, rows.shape[0], _ROWS):
-        nonzero = rows[r : r + _ROWS] != 0
-        weight = np.where(nonzero, _OFFSET_WEIGHT[: rows.shape[1]], none)
-        weight += _ROW_WEIGHT[r : r + weight.shape[0]]
-        if r == 0:
-            weight[0, 0] = none  # w = 0 is left out
-        least = min(least, int(weight.min()))
+    least = f.n + 1  # above every weight: W_f(w) = 0 for all w != 0
+    for lo in range(0, spec.size, _CHUNK):
+        base = lo.bit_count()  # w = lo + r weighs base + wt(r)
+        if base >= least:
+            continue
+        nonzero = spec[lo : lo + _CHUNK] != 0
+        nonzero[0] &= lo != 0  # w = 0 is left out
+        r = np.flatnonzero(nonzero)
+        least = min(least, base + int(np.bitwise_count(r).min(initial=least)))
         if least == 2:  # the lowest weight left, as none of weight 1 is nonzero
             break
     ci = least - 1
@@ -142,9 +138,12 @@ def complementary_plateaued(g1: BooleanFunction, g2: BooleanFunction) -> bool:
         raise ValueError("complementary plateaued pairs need an odd variable count")
     if plateaued_order(g1) != p - 1 or plateaued_order(g2) != p - 1:
         return False
-    s1 = walsh_transform(g1)._raw != 0
-    s2 = walsh_transform(g2)._raw != 0
-    return bool(np.all(s1 ^ s2))
+    s1, s2 = walsh_transform(g1)._raw, walsh_transform(g2)._raw
+    # the supports compared _CHUNK entries at a time
+    return all(
+        np.all((s1[lo : lo + _CHUNK] != 0) ^ (s2[lo : lo + _CHUNK] != 0))
+        for lo in range(0, s1.size, _CHUNK)
+    )
 
 
 def _universal_nonlinearity_cap(n: int) -> int:

@@ -5,8 +5,9 @@ Reports are JSON on stdout; truth tables travel as files in the
 canonical format.  Exit codes: 0 ok, 2 malformed or missing input file
 (truth table or parameter file), 3 violated construction premise or bad
 parameter, 4 oracle size cap exceeded, 1 anything else (including
-oracle divergence, an unwritable output file and a report that cannot be
-written to stdout).  An output file is written whole or not at all.
+oracle divergence, a build output that breaks its construction's
+promise, an unwritable output file and a report that cannot be written to
+stdout).  An output file is written whole or not at all.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import operator
 import os
 import sys
 from pathlib import Path
@@ -190,12 +192,21 @@ def _subspaces(p: dict, phi, key_e1: str, key_e2: str):
     return constructions.LinearSubspace(phi.k, e1), e2
 
 
-def _bent(h: BooleanFunction):
+# A promise is a (claim, relation, value) that the construction's theorem
+# states of its output, given the premises the construction checked.
+_HOLDS = {"==": operator.eq, ">=": operator.ge}
+
+
+def _bent(h: BooleanFunction, promised: bool = True):
+    """The bent claims, promising a bent output unless the construction
+    checks no premise that makes it so."""
     claims = {"bent": analysis.is_bent(h), "nonlinearity": analysis.nonlinearity(h)}
-    return h, claims, None
+    return h, claims, None, [("bent", "==", True)] if promised else []
 
 
-def _resilient(h: BooleanFunction, cert=None):
+def _resilient(h: BooleanFunction, cert=None, promises=()):
+    """The resiliency claims; a certificate promises its resiliency and
+    its nonlinearity bound."""
     rep = analysis.resiliency_report(h)
     claims = {
         "resiliency": rep.resiliency,
@@ -203,25 +214,31 @@ def _resilient(h: BooleanFunction, cert=None):
         "nonlinearity": analysis.nonlinearity(h),
         "plateaued_order": analysis.plateaued_order(h),
     }
-    return h, claims, cert
+    if cert is not None:
+        promises = [("resiliency", ">=", cert.resiliency),
+                    ("nonlinearity", ">=", cert.nonlinearity_bound)]
+    return h, claims, cert, promises
 
 
 # Each build function takes the arguments, the parameter object and the
-# seeded generator.  It returns the output, the claims verified on it and
-# a certificate or None.  Truth tables are loaded inside the call that
-# consumes them, so none is held while the claims are computed.
+# seeded generator.  It returns the output, the claims verified on it, a
+# certificate or None, and its promises.  Truth tables are loaded inside
+# the call that consumes them, so none is held while the claims are
+# computed.
 
 
 def _direct_sum(a, p, rng):
     f, g = _load(a.f), _load(a.g)
-    h, claims, _ = _resilient(constructions.direct_sum(f, g))
+    h, claims, _, _ = _resilient(constructions.direct_sum(f, g))
     nf, ng = analysis.nonlinearity(f), analysis.nonlinearity(g)
-    claims["nonlinearity_formula"] = (1 << f.n) * ng + (1 << g.n) * nf - 2 * nf * ng
-    return h, claims, None
+    formula = (1 << f.n) * ng + (1 << g.n) * nf - 2 * nf * ng
+    claims["nonlinearity_formula"] = formula
+    return h, claims, None, [("nonlinearity", "==", formula)]
 
 
 def _indirect_sum(a, p, rng):
-    return _bent(constructions.indirect_sum(*map(_load, (a.f1, a.f2, a.g1, a.g2))))
+    tables = map(_load, (a.f1, a.f2, a.g1, a.g2))
+    return _bent(constructions.indirect_sum(*tables), promised=False)  # no premise checked
 
 
 def _restricted_indirect_sum(a, p, rng):
@@ -289,7 +306,11 @@ def _rothaus_restricted_sum(a, p, rng):
 def _generalized_indirect_sum(a, p, rng):
     tables = map(_load, (a.f1, a.f2, a.f3, a.g1, a.g2, a.g3))
     h = constructions.generalized_indirect_sum(*tables, mode=a.mode, t=a.t, k=a.k)
-    return _bent(h) if a.mode == "bent" else _resilient(h)
+    if a.mode == "bent":
+        return _bent(h)
+    if a.mode == "resilient":
+        return _resilient(h, promises=[("resiliency", ">=", a.t + a.k + 1)])
+    return _resilient(h)  # no premise checked, so nothing promised
 
 
 def _resilient_indirect_sum(a, p, rng):
@@ -370,9 +391,13 @@ def cmd_build(args) -> int:
     # TypeError: a parameter value of the wrong JSON type; OverflowError: a
     # number such as 1e400, which JSON reads as infinity, used as an integer
     try:
-        h, claims, cert = build(args, p, rand.XorShift64Star(args.seed))
+        h, claims, cert, promises = build(args, p, rand.XorShift64Star(args.seed))
     except (TypeError, OverflowError) as exc:
         raise PremiseError(f"malformed parameters for {name}: {exc}") from exc
+    for claim, relation, value in promises:
+        if not _HOLDS[relation](claims[claim], value):  # an internal error
+            return _fail(f"{name} promises {claim} {relation} {json.dumps(value)}, "
+                         f"but its output has {claim} {json.dumps(claims[claim])}", 1)
     _write(h, args.output)
     out = {"construction": name, "n": h.n, "output": args.output, "verified": claims}
     if cert is not None:
@@ -421,7 +446,7 @@ _ONE_LINE = str.maketrans(
 )
 
 
-def _fail(exc: Exception, code: int) -> int:
+def _fail(exc: Exception | str, code: int) -> int:
     """One error line, even when the message quotes a path or value that
     holds a line break or a NUL."""
     print(f"error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)

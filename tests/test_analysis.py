@@ -402,7 +402,7 @@ def test_spectrum_predicates_match_reference_on_seeded_corpora(n):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_resiliency_report_agrees_with_the_full_scan_and_the_oracle(n):
-    # a nonzero weight-1 entry answers without the row scan; the corpus has
+    # a nonzero weight-1 entry answers without the slice scan; the corpus has
     # functions on both sides of that test
     fs = list(_is_resilient_corpus(n, XorShift64Star(2100 + n)))
     if n % 2 == 0:
@@ -415,30 +415,43 @@ def test_resiliency_report_agrees_with_the_full_scan_and_the_oracle(n):
 
 
 def test_spectrum_predicates_allocate_no_spectrum_sized_temporary():
-    # an M-M bent function at n = 20, spectrum cached: 2^20 entries
+    # spectra cached, under one byte per entry: an M-M bent function at
+    # n = 20, its two halves at the last variable (p = 19), and two n = 20
+    # functions with W = 0 at every weight-1 point, which resiliency_report
+    # answers only by scanning the spectrum
     n = 20
     f = random_mm_bent(n, XorShift64Star(20))
-    walsh_transform(f)
-    limits = {is_bent: 1, nonlinearity: 1, plateaued_order: 1, resiliency_report: 1}
-    for predicate, bytes_per_entry in limits.items():
+    scanned = [random_resilient(n, 3, XorShift64Star(21)),
+               BooleanFunction.linear(n, (1 << n) - 1)]
+    calls = [(is_bent, f), (nonlinearity, f), (plateaued_order, f), (resiliency_report, f),
+             (complementary_plateaued, f.restrict(n, 0), f.restrict(n, 1)),
+             *((resiliency_report, g) for g in scanned)]
+    for predicate, *args in calls:
+        for g in args:
+            walsh_transform(g)
         tracemalloc.start()
         try:
-            predicate(f)
+            predicate(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bytes_per_entry << n, (predicate.__name__, peak / (1 << n))
+        entries = 1 << args[0].n
+        assert peak < entries, (predicate.__name__, args[0].n, peak / entries)
 
 
 @pytest.mark.parametrize(
     "n, w",
     [
-        # rows of 2^12: w at the start, inside and at the end of a row
+        # one slice of 2^14 entries: w at its start, inside and at its end
         (14, 1), (14, 1 << 12), (14, 3 << 12), (14, (2 << 12) | 37),
         (14, (1 << 12) - 1), (14, (1 << 14) - 1),
-        # 16 rows are scanned at a time: w in the second, third and last
-        # such chunk
+        # 16 slices: w at the start of the 5th, inside the 13th, at the end
+        # of the 8th and at the end of the last
         (18, 1 << 16), (18, (3 << 16) | 5), (18, (1 << 17) - 1), (18, (1 << 18) - 1),
+        # slice edges, and the end of the spectrum (3 * 2^14 is past the
+        # end at n = 15, whose spectrum is two slices)
+        (15, (1 << 14) - 1), (15, (1 << 14) + 1), (15, (1 << 15) - 1),
+        (17, (1 << 14) - 1), (17, (1 << 14) + 1), (17, 3 << 14), (17, (1 << 17) - 1),
     ],
 )
 def test_resiliency_report_of_a_linear_function(n, w):
@@ -447,6 +460,14 @@ def test_resiliency_report_of_a_linear_function(n, w):
     f = BooleanFunction.linear(n, w)
     ci = w.bit_count() - 1
     assert resiliency_report(f) == (ci, ci)
+
+
+@pytest.mark.parametrize("n", range(15, 19))
+def test_resiliency_report_agrees_with_the_full_scan_above_one_slice(n):
+    # the oracle stops at 10 variables, so the full scan alone checks
+    # spectra of 2 to 16 slices
+    for f in _is_resilient_corpus(n, XorShift64Star(2100 + n)):
+        assert resiliency_report(f) == _resiliency_report_ref(f), f
 
 
 def test_resiliency_report_of_a_constant_function():

@@ -693,3 +693,60 @@ def test_build_output_digests_are_pinned(tmp_path, case):
     run("build", case.split("/")[0], *make_args(_digest_inputs(tmp_path), tmp_path),
         "-o", out)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
+# -- a build checks its output against its construction's theorem ---------
+
+# the constructions function each promising case's output comes from (both
+# resilient routes build through generalized_indirect_sum), and the claim
+# a flipped bit breaks
+PROMISING = {
+    "direct-sum": ("direct_sum", "nonlinearity"),
+    "restricted-indirect-sum": ("restricted_indirect_sum", "bent"),
+    "mm": ("mm_function", "bent"),
+    "psap": ("psap_bent", "bent"),
+    "class-d": ("class_d_bent", "bent"),
+    "mm-restricted-sum": ("mm_restricted_sum", "bent"),
+    "psap-restricted-sum": ("psap_restricted_sum", "bent"),
+    "class-d-restricted-sum": ("class_d_restricted_sum", "bent"),
+    "rothaus": ("rothaus", "bent"),
+    "rothaus-restricted-sum": ("rothaus_restricted_sum", "bent"),
+    "generalized-indirect-sum": ("generalized_indirect_sum", "resiliency"),
+    "generalized-indirect-sum/bent": ("generalized_indirect_sum", "bent"),
+    "resilient-indirect-sum": ("generalized_indirect_sum", "resiliency"),
+    "resilient-indirect-sum-pair": ("generalized_indirect_sum", "resiliency"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROMISING))
+def test_build_whose_output_breaks_its_theorem_exits_1(tmp_path, monkeypatch, capsys, case):
+    from bentkit import cli, constructions
+
+    function, claim = PROMISING[case]
+    real = getattr(constructions, function)
+
+    def flipped(*args, **kwargs):  # the real output with bit 0 flipped
+        h = real(*args, **kwargs)
+        return h ^ BooleanFunction(h.n, 1)
+
+    monkeypatch.setattr(constructions, function, flipped)
+    name = case.split("/")[0]
+    out = tmp_path / "h.tt"
+    args = DIGEST_CASES[case][0](_digest_inputs(tmp_path), tmp_path)
+    assert cli.main(["build", name, *map(str, args), "-o", str(out)]) == 1
+    std = capsys.readouterr()
+    assert std.out == ""
+    assert std.err.startswith(f"error: {name} promises {claim} ")
+    assert f"but its output has {claim} " in std.err and std.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_build_without_a_premise_promises_nothing(tmp_path):
+    # indirect-sum checks no premise, so a non-bent output is written
+    x = tmp_path / "x.tt"
+    x.write_text("n=2\nbits=6\n")
+    out = tmp_path / "h.tt"
+    proc = run("build", "indirect-sum", "--f1", x, "--f2", x, "--g1", x, "--g2", x,
+               "-o", out)
+    assert json.loads(proc.stdout)["verified"]["bent"] is False
+    assert out.exists()
