@@ -6,8 +6,9 @@ canonical format.  Exit codes: 0 ok, 2 malformed or missing input file
 (truth table or parameter file), 3 violated construction premise or bad
 parameter, 4 oracle size cap exceeded, 1 anything else (including
 oracle divergence, a build output that breaks its construction's
-promise, an unwritable output file and a report that cannot be written to
-stdout).  An output file is written whole or not at all.
+promise, an analyze profile that breaks the bounds it reports, an
+unwritable output file and a report that cannot be written to stdout).
+An output file is written whole or not at all.
 """
 
 from __future__ import annotations
@@ -74,7 +75,11 @@ def _emit(obj: dict) -> None:
 
 
 def cmd_analyze(args) -> int:
-    profile = analysis.analyze(_load(args.path))
+    f = _load(args.path)
+    try:
+        profile = analysis.analyze(f)
+    except RuntimeError as exc:  # a profile that breaks its own bounds
+        return _fail(exc, 1)
     print(profile.to_json())
     return 0
 

@@ -450,49 +450,37 @@ _BLOCK = 1 << 17
 # this stay within +-2^14 and are exact in int16, at half the bytes.
 _WIDE = 1 << 14
 
-# Below this pair distance NumPy buffers the strided (-1, 2, h) operands
-# (on a 2-vCPU VM an add over 2^15 pairs took 85 us at h = 8, 7 us at
-# h >= 4096 and 6 us on contiguous data), so such stages run contiguous
-# over the whole block instead.
-_SHORT = 1 << 12
-
 
 def _butterfly(src: np.ndarray, dst: np.ndarray, h: int, tmp: np.ndarray) -> None:
     """One int16 stage from src into dst: each (x, y) pair h apart ->
     (x + y, x - y).
 
-    For h < `_SHORT` both operations run over every offset-h pair, and
-    only the rows that need each result keep it: dst[i] = src[i] + src[i+h]
-    is right where bit h of i is clear, tmp[i+h] = src[i] - src[i+h] where
-    it is set, and the set rows are copied over.  tmp is as long as src
-    and of its dtype.
+    Both operations run contiguous over every offset-h pair, and only the
+    rows that need each result keep it: dst[i] = src[i] + src[i+h] is
+    right where bit h of i is clear, tmp[i+h] = src[i] - src[i+h] where it
+    is set, and the set rows are copied over.  tmp is as long as src and
+    of its dtype.
     """
-    if h < _SHORT:
-        np.add(src[:-h], src[h:], out=dst[:-h])
-        np.subtract(src[:-h], src[h:], out=tmp[h:])
-        dst.reshape(-1, 2, h)[:, 1] = tmp.reshape(-1, 2, h)[:, 1]
-        return
-    s, d = src.reshape(-1, 2, h), dst.reshape(-1, 2, h)
-    x, y = s[:, 0], s[:, 1]
-    np.add(x, y, out=d[:, 0])
-    np.subtract(x, y, out=d[:, 1])
+    np.add(src[:-h], src[h:], out=dst[:-h])
+    np.subtract(src[:-h], src[h:], out=tmp[h:])
+    dst.reshape(-1, 2, h)[:, 1] = tmp.reshape(-1, 2, h)[:, 1]
 
 
-def _butterfly_in_place(a: np.ndarray, h: int, t: np.ndarray) -> None:
+def _butterfly_in_place(a: np.ndarray, h: int) -> None:
     """One int32 stage over a in place: each (x, y) pair h apart ->
-    (x + y, x - y), as t = x - y; x += y; y = t over chunks of at most
-    len(t) pairs, t being a scratch of a's dtype."""
+    (x + y, x - y), as x += y; y *= -2; y += x over chunks of at most
+    `_BLOCK // 2` pairs.  With |x|, |y| <= h, every value stays within
+    +-2h, so the stage needs no scratch."""
     pairs = a.reshape(-1, 2, h)
-    cols = min(h, t.shape[0])
-    rows = t.shape[0] // cols
+    cols = min(h, _BLOCK // 2)
+    rows = _BLOCK // 2 // cols
     for i in range(0, pairs.shape[0], rows):
         for j in range(0, h, cols):
             chunk = pairs[i : i + rows, :, j : j + cols]
             x, y = chunk[:, 0], chunk[:, 1]
-            d = t[: x.size].reshape(x.shape)
-            np.subtract(x, y, out=d)
             x += y
-            y[...] = d
+            y *= -2
+            y += x
 
 
 def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
@@ -508,12 +496,11 @@ def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
     The gather and the stages with h < `_BLOCK` run one block at a time,
     the rest over the whole array.  In a block, the gather and the stages
     with h < `_WIDE` run in int16, which is exact there (see `_WIDE`),
-    each from one of two int16 blocks into the other, with a third as the
-    scratch of the stages with h < `_SHORT` (see `_butterfly`).  The int16
-    result is widened into the result's block, and every later stage runs
-    in place there, with the third block, viewed as int32, as its scratch
-    (see `_butterfly_in_place`).  The result is cached on the function,
-    which is immutable.
+    each from one of two int16 blocks into the other, with a third as
+    scratch (see `_butterfly`).  The int16 result is widened into the
+    result's block, and every later stage runs in place there (see
+    `_butterfly_in_place`).  The result is cached on the function, which
+    is immutable.
     """
     if f._spectrum is None:
         n = f.n
@@ -523,7 +510,6 @@ def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
         block = min(_BLOCK, size)
         out = np.empty(size, np.int32)
         x, y, tmp = np.empty((3, block), np.int16)
-        t = tmp.view(np.int32)
         for lo in range(0, size, block):
             hi = lo + block
             # mode="clip" writes straight into x; "raise" would buffer it
@@ -536,10 +522,10 @@ def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
                 h *= 2
             out[lo:hi] = x
             while h < block:
-                _butterfly_in_place(out[lo:hi], h, t)
+                _butterfly_in_place(out[lo:hi], h)
                 h *= 2
         while h < size:
-            _butterfly_in_place(out, h, t)
+            _butterfly_in_place(out, h)
             h *= 2
         if n < 3:
             out = out[: 1 << n] >> (3 - n)

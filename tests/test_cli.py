@@ -62,6 +62,21 @@ def test_analyze_malformed_exits_2(tmp_path):
     assert "error" in proc.stderr
 
 
+def test_analyze_profile_breaking_its_bounds_exits_1(tmp_path, monkeypatch, capsys):
+    from bentkit import analysis, cli
+
+    # caps that x1*x2 (nonlinearity 1, degree 2) breaks
+    monkeypatch.setattr(analysis, "bounds_report",
+                        lambda n, res: analysis.BoundsReport(n, res, n, 0))
+    p = tmp_path / "f.tt"
+    p.write_text("n=2\nbits=1\n")
+    assert cli.main(["analyze", str(p)]) == 1
+    std = capsys.readouterr()
+    assert std.out == ""
+    assert std.err.startswith("error: nonlinearity 1 and degree 2 break the caps ")
+    assert std.err.count("\n") == 1
+
+
 def test_wht_and_anf(tmp_path):
     p = put(tmp_path, "f.tt", BooleanFunction(2, [0, 0, 0, 1]))
     out = json.loads(run("wht", p).stdout)

@@ -243,12 +243,15 @@ def test_walsh_agrees_with_the_reference_butterfly_on_large_bent(n):
     assert np.all(np.abs(got) == 1 << (n // 2))
 
 
-@pytest.mark.parametrize("n", range(13, 19))
+@pytest.mark.parametrize("n", [*range(13, 19), 20])
 def test_walsh_is_exact_across_the_int16_boundary(n):
-    # The stages below pair distance 2^14 run in int16.  These functions
-    # reach the extremes there: +-2^14 after the last int16 stage and
-    # +-2^15 after the first int32 one, which would wrap in int16.
-    # Random tables never come near them.
+    # The stages below pair distance 2^14 run in int16, and the later ones
+    # in int32, in place, as x += y; y *= -2; y += x.  These functions
+    # reach the extremes at every stage: +-2^14 after the last int16 stage,
+    # +-2^15 after the first int32 one, which would wrap in int16, and
+    # +-2h inside each in-place stage.  At n = 20 the whole-array stages
+    # h = 2^17 ... 2^19 each run over several chunks.  Random tables never
+    # come near these extremes.
     functions = [
         BooleanFunction.zero(n),
         BooleanFunction.constant(n, 1),
@@ -257,6 +260,16 @@ def test_walsh_is_exact_across_the_int16_boundary(n):
     ]
     for f in functions:
         assert np.array_equal(walsh_transform(f).values, reference_walsh(f))
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+def test_walsh_reaches_the_int32_bound_at_the_cap(bit):
+    # W(0) = +-2^26 is the only nonzero value, and y *= -2 takes every
+    # in-place stage to its +-2h bound; 2^26 still fits in int32.
+    n = core.MAX_VARS
+    spectrum = walsh_transform(BooleanFunction.constant(n, bit))
+    assert spectrum[0] == (1 - 2 * bit) << n
+    assert np.count_nonzero(spectrum._raw) == 1
 
 
 def test_max_abs_reads_the_negative_extreme():
