@@ -5,13 +5,14 @@ Every check here goes straight to a definition: the Walsh sum over all
 statistical-independence test over every variable subset.  Agreement
 with the fast paths is exact integer equality, zero tolerance.
 
-Size caps keep the full suite fast; exceeding one raises CapError.
+One size cap, CAP, bounds every oracle: an input on more variables
+raises CapError before any work.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -20,11 +21,14 @@ from .analysis import is_bent, is_resilient, nonlinearity, resiliency_report
 from .core import BooleanFunction, WalshSpectrum, _integer, walsh_transform
 from .errors import CapError
 
-WALSH_CAP = 14
-NONLINEARITY_CAP = 12
-RESILIENCY_CAP = 10
+CAP = 14
 
 _BLOCK = 1 << 18  # entries of the linear-function tables built at once
+
+
+def _check_cap(f: BooleanFunction, oracle: str) -> None:
+    if f.n > CAP:
+        raise CapError(f"{oracle} capped at n={CAP}")
 
 
 def _distances(f: BooleanFunction) -> np.ndarray:
@@ -32,7 +36,7 @@ def _distances(f: BooleanFunction) -> np.ndarray:
 
     The table of each linear function w.x is popcount(w & x) mod 2 over
     every x; it is XORed with f's table and its ones counted, a block of
-    rows w at a time (the caps keep a row of 2^n within a block)."""
+    rows w at a time (the cap keeps a row of 2^n within a block)."""
     size = 1 << f.n
     x = np.arange(size, dtype=np.uint32)
     bits = f.values()
@@ -49,40 +53,33 @@ def naive_walsh(f: BooleanFunction) -> WalshSpectrum:
     number of points where f agrees with w.x minus the number where it
     does not, 2^n - 2 d(w) (O(4^n)); no butterfly anywhere on this path.
     """
-    if f.n > WALSH_CAP:
-        raise CapError(f"naive Walsh transform capped at n={WALSH_CAP}")
+    _check_cap(f, "naive Walsh transform")
     return WalshSpectrum(f.n, (1 << f.n) - 2 * _distances(f))
 
 
 def exhaustive_nonlinearity(f: BooleanFunction) -> int:
     """Minimum Hamming distance to all 2^(n+1) affine functions: w.x
     lies at distance d(w) and its complement at 2^n - d(w)."""
-    if f.n > NONLINEARITY_CAP:
-        raise CapError(f"exhaustive nonlinearity capped at n={NONLINEARITY_CAP}")
+    _check_cap(f, "exhaustive nonlinearity")
     d = _distances(f)
     return int(np.minimum(d, (1 << f.n) - d).min())
 
 
 def correlation_immune_by_definition(f: BooleanFunction, r: int) -> bool:
     """True iff the output is statistically independent of every set of
-    r input variables: each subfunction fixed on such a set must carry
-    weight wt(f)/2^r.  Each point is keyed by its values on the set, and
-    one bincount of the keys where f = 1, read back at every point's
-    key, gives the weight of the subfunction that point lies in."""
-    if f.n > RESILIENCY_CAP:
-        raise CapError(f"definition-level resiliency capped at n={RESILIENCY_CAP}")
+    r input variables: each of the 2^r subfunctions fixed on such a set
+    must carry weight wt(f)/2^r.  Each point where f = 1 is keyed by its
+    values on the set, and one bincount of the keys gives every
+    subfunction's weight; as the 2^r weights sum to wt(f), they all equal
+    wt(f)/2^r iff none is larger."""
+    _check_cap(f, "definition-level resiliency")
     r = _integer(r, "order r", 0, f.n)
     total = f.weight
     if total % (1 << r):
         return False
-    expect = total >> r
-    size = 1 << f.n
-    idx = np.arange(size, dtype=np.uint32)
-    ones = idx[f.values() == 1]
+    ones = np.arange(1 << f.n, dtype=np.uint32)[f.values() == 1]
     for subset in itertools.combinations([1 << i for i in range(f.n)], r):
-        mask = np.uint32(sum(subset))
-        weights = np.bincount(ones & mask, minlength=size)
-        if np.any(weights[idx & mask] != expect):
+        if np.bincount(ones & np.uint32(sum(subset))).max(initial=0) > total >> r:
             return False
     return True
 
@@ -90,13 +87,8 @@ def correlation_immune_by_definition(f: BooleanFunction, r: int) -> bool:
 def resiliency_by_definition(f: BooleanFunction, r: int) -> bool:
     """True iff f is r-resilient: balanced plus r-th order independence."""
     r = _integer(r, "order r", 0, f.n)
-    if not f.is_balanced:
-        if f.n > RESILIENCY_CAP:
-            raise CapError(
-                f"definition-level resiliency capped at n={RESILIENCY_CAP}"
-            )
-        return False
-    return correlation_immune_by_definition(f, r)
+    _check_cap(f, "definition-level resiliency")
+    return f.is_balanced and correlation_immune_by_definition(f, r)
 
 
 @dataclass
@@ -108,17 +100,17 @@ class OracleReport:
     first_divergence: Optional[tuple] = None
 
     def as_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "agreed": self.agreed,
-            "first_divergence": (
-                list(self.first_divergence) if self.first_divergence else None
-            ),
-        }
+        return asdict(self)
 
 
-# Each verifier runs its oracle first, so that an input above the
-# oracle's cap is refused before any fast-path work.
+def _verdict(subject: str, fast, slow) -> OracleReport:
+    if fast != slow:
+        return OracleReport(subject, False, (None, fast, slow))
+    return OracleReport(subject, True)
+
+
+# Each verifier runs its oracle first, so that an input above the cap is
+# refused before any fast-path work.
 
 
 def verify_walsh(f: BooleanFunction) -> OracleReport:
@@ -133,10 +125,7 @@ def verify_walsh(f: BooleanFunction) -> OracleReport:
 
 def verify_nonlinearity(f: BooleanFunction) -> OracleReport:
     slow = exhaustive_nonlinearity(f)
-    fast = nonlinearity(f)
-    if fast != slow:
-        return OracleReport("nonlinearity", False, (None, fast, slow))
-    return OracleReport("nonlinearity", True)
+    return _verdict("nonlinearity", nonlinearity(f), slow)
 
 
 def verify_resiliency(f: BooleanFunction) -> OracleReport:
@@ -145,10 +134,10 @@ def verify_resiliency(f: BooleanFunction) -> OracleReport:
     (-1)-resilient and none is (n+1)-resilient; a divergence at r is
     reported as (r, fast, slow)."""
     by_definition = [resiliency_by_definition(f, r) for r in range(f.n + 1)]
-    fast = resiliency_report(f).resiliency
     slow = by_definition.index(False) - 1  # no function is n-resilient
-    if fast != slow:
-        return OracleReport("resiliency", False, (None, fast, slow))
+    report = _verdict("resiliency", resiliency_report(f).resiliency, slow)
+    if not report.agreed:
+        return report
     for r, slow_r in enumerate([True, *by_definition, False], start=-1):
         fast_r = is_resilient(f, r)
         if fast_r != slow_r:
@@ -161,10 +150,7 @@ def verify_bent(f: BooleanFunction) -> OracleReport:
     slow = f.n % 2 == 0 and bool(
         np.all(np.abs(naive_walsh(f)._raw) == amp)
     )
-    fast = is_bent(f)
-    if fast != slow:
-        return OracleReport("bent", False, (None, fast, slow))
-    return OracleReport("bent", True)
+    return _verdict("bent", is_bent(f), slow)
 
 
 VERIFIERS = {

@@ -120,6 +120,18 @@ def test_verify_commands(tmp_path):
     run("verify", "--property", "nonlinearity", big, expect=4)
 
 
+def test_verify_above_the_cap_exits_4_except_bent_on_odd_n(tmp_path):
+    # no function on an odd number of variables is bent, so the bent
+    # oracle answers odd n from n alone, above the cap too
+    from bentkit.oracle import CAP
+
+    p = put(tmp_path, "f.tt", random_function(CAP + 1, XorShift64Star(7)))
+    for prop in ("walsh", "nonlinearity", "resiliency"):
+        proc = run("verify", "--property", prop, p, expect=4)
+        assert f"capped at n={CAP}" in proc.stderr
+    assert json.loads(run("verify", "--property", "bent", p).stdout)["agreed"] is True
+
+
 def test_build_restricted_indirect_sum_certifies(tmp_path):
     f = put(tmp_path, "f.tt", MM4)
     o = tmp_path / "h.tt"
@@ -163,6 +175,16 @@ def test_build_mm_seeded_determinism(tmp_path):
     run("build", "mm", "--param-file", param, "--seed", 42, "-o", o1)
     run("build", "mm", "--param-file", param, "--seed", 42, "-o", o2)
     run("build", "mm", "--param-file", param, "--seed", 43, "-o", o3)
+    assert o1.read_bytes() == o2.read_bytes()
+    assert o1.read_bytes() != o3.read_bytes()
+
+
+def test_build_psap_draws_theta_from_the_seed(tmp_path):
+    param = put_json(tmp_path, {"m": 3})
+    o1, o2, o3 = (tmp_path / x for x in ("a.tt", "b.tt", "c.tt"))
+    run("build", "psap", "--param-file", param, "--seed", 5, "-o", o1)
+    run("build", "psap", "--param-file", param, "--seed", 5, "-o", o2)
+    run("build", "psap", "--param-file", param, "--seed", 6, "-o", o3)
     assert o1.read_bytes() == o2.read_bytes()
     assert o1.read_bytes() != o3.read_bytes()
 
@@ -364,6 +386,14 @@ _TRIPLE = ("--f1", "--f2", "--f3")
         lambda t: ["mm-restricted-sum", "--param-file", put_json(t, {"k_f": 2})],
         3, 'cannot draw psi at random: set "k_g"', id="mm-restricted-sum-no-k-g"),
     pytest.param(
+        lambda t: ["mm", "--param-file", put_json(t, {"k": 2, "u": 5})],
+        3, 'parameter u must be a file path or "random"', id="u-a-number"),
+    pytest.param(
+        lambda t: ["class-d", "--param-file",
+                   put_json(t, {"k": 3, "phi": "random", "e2": [5], "e1": [1]}),
+                   "--seed", 7],
+        3, "class D requires phi(E2) to equal the dual of E1", id="class-d-wrong-e1"),
+    pytest.param(
         lambda t: ["mm", "--param-file", put_json(t, {"k": -1})],
         3, "k must be in [1, inf], got -1", id="mm-negative-k"),
     pytest.param(
@@ -444,6 +474,12 @@ _TRIPLE = ("--f1", "--f2", "--f3")
                    *(x for flag in (*_TRIPLE, "--p", "--q")
                      for x in (flag, put(t, "f.tt", MM4)))],
         3, "k must be in [-1, inf], got -5", id="k-below-minus-one-pair"),
+    pytest.param(  # the all-ones linear seeds on m = 3 are 2-resilient: only k < m-1 fails
+        lambda t: ["resilient-indirect-sum-pair", "--i", "1", "--k", "2",
+                   *(x for flag in _TRIPLE for x in (flag, put(t, "f.tt", MM4))),
+                   *(x for flag in ("--p", "--q")
+                     for x in (flag, put(t, "l.tt", BooleanFunction.linear(3, 0b111))))],
+        3, "need k < m-1, got k=2, m=3", id="k-not-below-m-minus-1-pair"),
     pytest.param(  # zero tables: no triple member is bent, but the size comes first
         lambda t: ["resilient-indirect-sum", "--k", "0",
                    *(x for flag in (*_TRIPLE, "--g1", "--g2", "--g3")
@@ -639,9 +675,19 @@ DIGEST_CASES = {
                       put_json(t, {"m": 3, "theta": [0, 0, 1, 1, 0, 1, 0, 1]})],
         "1305a3bb391e465003ab65f1617c49e333a68556db1cdcf2b11ccabf7af381b8",
     ),
+    "psap/random-theta": (
+        lambda d, t: ["--param-file", put_json(t, {"m": 3}), "--seed", 5],
+        "626c2e17ce219707738e7ab181412421324ae01daa2f3ea9c0e067edb6000368",
+    ),
     "class-d": (
         lambda d, t: ["--param-file",
                       put_json(t, {"k": 3, "phi": "random", "e2": [5], "e1": "auto"}),
+                      "--seed", 7],
+        "6ffa7385cc4647a110735cb2f47ada508738dd081bb097f05f9bbcf7c8f9b466",
+    ),
+    "class-d/listed-e1": (  # phi(5) = 7 at seed 7, so E1 = 7^perp, as "auto" draws
+        lambda d, t: ["--param-file",
+                      put_json(t, {"k": 3, "phi": "random", "e2": [5], "e1": [6, 3]}),
                       "--seed", 7],
         "6ffa7385cc4647a110735cb2f47ada508738dd081bb097f05f9bbcf7c8f9b466",
     ),
@@ -686,6 +732,11 @@ DIGEST_CASES = {
                       "--g1", d["g1"], "--g2", d["g2"], "--g3", d["g3"],
                       "--mode", "bent"],
         "3487ac77721b7f2a0595ad757e5ec9bc69edc77849c6c669138fae9d7791d7a2",
+    ),
+    "generalized-indirect-sum/no-mode": (  # unbalanced tables, no premise checked
+        lambda d, t: ["--f1", d["f1"], "--f2", d["f2"], "--f3", d["f3"],
+                      "--g1", d["g1"], "--g2", d["g2"], "--g3", d["mm4"]],
+        "5e78c1440a6dc6641ae2db8f3406ff10baaddf32e3a182648556c24d1993049f",
     ),
     "resilient-indirect-sum": (
         lambda d, t: ["--f1", d["f1"], "--f2", d["f2"], "--f3", d["f3"],
@@ -765,3 +816,10 @@ def test_build_without_a_premise_promises_nothing(tmp_path):
                "-o", out)
     assert json.loads(proc.stdout)["verified"]["bent"] is False
     assert out.exists()
+    # nor does generalized-indirect-sum without --mode: no certificate
+    args = DIGEST_CASES["generalized-indirect-sum/no-mode"][0](
+        _digest_inputs(tmp_path), tmp_path
+    )
+    proc = run("build", "generalized-indirect-sum", *args, "-o", out)
+    summary = json.loads(proc.stdout)
+    assert "certificate" not in summary and summary["verified"]["resiliency"] == -1

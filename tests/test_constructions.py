@@ -1099,8 +1099,14 @@ def test_resilient_routes_premise_errors():
     unbalanced = BooleanFunction.constant(8, 0)
     with pytest.raises(PremiseError):
         resilient_indirect_sum(triple, p, p, unbalanced, 1)
-    with pytest.raises(PremiseError):
-        resilient_indirect_sum_from_pair(triple, p, p, 1, 8)  # k >= m-1
+    # the all-ones linear function on m = 3 variables is 2-resilient, so
+    # k = m-1 passes every premise but k < m-1
+    ones = BooleanFunction.linear(3, 0b111)
+    message = re.escape("need k < m-1, got k=2, m=3")
+    with pytest.raises(PremiseError, match=message):
+        resilient_indirect_sum(triple, ones, ones, ones, 2)
+    with pytest.raises(PremiseError, match=message):
+        resilient_indirect_sum_from_pair(triple, ones, ones, 1, 2)
 
 
 def test_resiliency_order_below_minus_one_is_a_bad_parameter():

@@ -16,6 +16,7 @@ from bentkit import (
     walsh_transform,
 )
 from bentkit.oracle import (
+    CAP,
     correlation_immune_by_definition,
     verify_bent,
     verify_nonlinearity,
@@ -221,17 +222,27 @@ def test_verify_resiliency_reports_an_is_resilient_divergence(monkeypatch):
 
 def test_caps():
     with pytest.raises(CapError):
-        naive_walsh(BooleanFunction.zero(15))
+        naive_walsh(BooleanFunction.zero(CAP + 1))
     with pytest.raises(CapError):
-        exhaustive_nonlinearity(BooleanFunction.zero(13))
+        exhaustive_nonlinearity(BooleanFunction.zero(CAP + 1))
     with pytest.raises(CapError):
-        resiliency_by_definition(BooleanFunction.zero(11), 1)
+        resiliency_by_definition(BooleanFunction.zero(CAP + 1), 1)
+
+
+def test_nonlinearity_and_resiliency_run_at_the_cap():
+    from bentkit.rand import random_resilient
+
+    # a 1-resilient function of CAP variables (nonlinearity 7672)
+    f = random_resilient(CAP, 1, XorShift64Star(139))
+    assert verify_nonlinearity(f).agreed
+    assert verify_resiliency(f).agreed
 
 
 @pytest.mark.parametrize("verifier, fast, n", [
-    (verify_walsh, "walsh_transform", 15),
-    (verify_nonlinearity, "nonlinearity", 13),
-    (verify_bent, "is_bent", 16),
+    (verify_walsh, "walsh_transform", CAP + 1),
+    (verify_nonlinearity, "nonlinearity", CAP + 1),
+    (verify_resiliency, "resiliency_report", CAP + 1),
+    (verify_bent, "is_bent", CAP + 2),  # CAP + 1 is odd: answered from n alone
 ])
 def test_verifiers_refuse_above_the_cap_before_the_fast_path(
     monkeypatch, verifier, fast, n
@@ -257,8 +268,8 @@ def test_verify_reports():
 
 
 @pytest.mark.parametrize("call, error, fragment", [
-    pytest.param(lambda: correlation_immune_by_definition(BooleanFunction.zero(11), 1),
-                 CapError, "definition-level resiliency capped at n=10", id="ci-cap"),
+    pytest.param(lambda: correlation_immune_by_definition(BooleanFunction.zero(CAP + 1), 1),
+                 CapError, f"definition-level resiliency capped at n={CAP}", id="ci-cap"),
     pytest.param(lambda: correlation_immune_by_definition(X1X2, 3), ValueError,
                  "order r must be in [0, 2], got 3", id="ci-order"),
     pytest.param(lambda: resiliency_by_definition(X1X2, -1), ValueError,

@@ -196,6 +196,21 @@ def test_readme_build_table_matches_the_build_registry():
     assert table == {name: entry[1:] for name, entry in _BUILDS.items()}
 
 
+def test_readme_states_the_oracle_cap():
+    # every cap README states in the module list's `bentkit.oracle` entry
+    # and in the `bentkit.oracle` paragraph, such as "size cap, n = 14" or
+    # "capped at n = 14", against oracle.CAP; "caps 14/12/10" reads 14, 12, 10
+    from bentkit.oracle import CAP
+
+    readme = (ROOT / "README.md").read_text()
+    entry = readme.split("`bentkit.oracle`\n(", 1)[1].split(")", 1)[0]
+    paragraph = readme.split("\n`bentkit.oracle` reads", 1)[1].split("\n\n", 1)[0]
+    for text in (entry, paragraph):
+        caps = re.findall(r"\bcap(?:s|ped at)?,? (?:n = )?(\d+(?:/\d+)*)", text)
+        assert caps, text
+        assert {int(c) for cap in caps for c in cap.split("/")} == {CAP}, (caps, text)
+
+
 def test_every_build_option_is_read_by_some_construction():
     from bentkit.cli import _BUILDS, _parser
 
