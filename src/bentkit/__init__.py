@@ -16,6 +16,7 @@ _EXPORTS = {
         "ResiliencyReport",
         "analyze",
         "bounds_report",
+        "certify",
         "complementary_plateaued",
         "dual",
         "is_bent",

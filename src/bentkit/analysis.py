@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
@@ -251,3 +252,26 @@ def analyze(f: BooleanFunction) -> AnalysisProfile:
         semi_bent=order == semi_bent_order(f.n),
         sarkar_maitra_bound=sm,
     )
+
+
+# A promise is a (claim, relation, value) that a construction's theorem
+# states of its output, given the premises the construction checked.
+_HOLDS = {"==": operator.eq, ">=": operator.ge}
+
+
+def certify(name: str, h: BooleanFunction, promises=(), resilient: bool = False) -> dict:
+    """The claims verified on h, the output of construction `name`: bent
+    and nonlinearity, or, when resilient, resiliency, CI order,
+    nonlinearity and plateaued order.  Raises RuntimeError at the first
+    promise h breaks, as a broken theorem is an internal error."""
+    if resilient:
+        ci, res = resiliency_report(h)
+        claims = {"resiliency": res, "ci_order": ci, "nonlinearity": nonlinearity(h),
+                  "plateaued_order": plateaued_order(h)}
+    else:
+        claims = {"bent": is_bent(h), "nonlinearity": nonlinearity(h)}
+    for claim, relation, value in promises:
+        if not _HOLDS[relation](claims[claim], value):
+            raise RuntimeError(f"{name} promises {claim} {relation} {json.dumps(value)}, "
+                               f"but its output has {claim} {json.dumps(claims[claim])}")
+    return claims

@@ -7,7 +7,8 @@ canonical format.  Exit codes: 0 ok, 2 malformed or missing input file
 parameter, 4 oracle size cap exceeded, 1 anything else (including
 oracle divergence, a build output that breaks its construction's
 promise, an analyze profile that breaks the bounds it reports, an
-unwritable output file and a report that cannot be written to stdout).
+internal RuntimeError, an unwritable output file and a report that
+cannot be written to stdout).
 An output file is written whole or not at all.
 """
 
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import operator
 import os
 import sys
 from pathlib import Path
@@ -75,12 +75,7 @@ def _emit(obj: dict) -> None:
 
 
 def cmd_analyze(args) -> int:
-    f = _load(args.path)
-    try:
-        profile = analysis.analyze(f)
-    except RuntimeError as exc:  # a profile that breaks its own bounds
-        return _fail(exc, 1)
-    print(profile.to_json())
+    print(analysis.analyze(_load(args.path)).to_json())
     return 0
 
 
@@ -197,57 +192,42 @@ def _subspaces(p: dict, phi, key_e1: str, key_e2: str):
     return constructions.LinearSubspace(phi.k, e1), e2
 
 
-# A promise is a (claim, relation, value) that the construction's theorem
-# states of its output, given the premises the construction checked.
-_HOLDS = {"==": operator.eq, ">=": operator.ge}
+def _bent(a, h: BooleanFunction, promises=(("bent", "==", True),)):
+    """The output with its bent claims, promised bent unless the
+    construction checks no premise that makes it so."""
+    return h, analysis.certify(a.construction, h, promises), None
 
 
-def _bent(h: BooleanFunction, promised: bool = True):
-    """The bent claims, promising a bent output unless the construction
-    checks no premise that makes it so."""
-    claims = {"bent": analysis.is_bent(h), "nonlinearity": analysis.nonlinearity(h)}
-    return h, claims, None, [("bent", "==", True)] if promised else []
-
-
-def _resilient(h: BooleanFunction, cert=None, promises=()):
-    """The resiliency claims; a certificate promises its resiliency and
-    its nonlinearity bound."""
-    rep = analysis.resiliency_report(h)
-    claims = {
-        "resiliency": rep.resiliency,
-        "ci_order": rep.ci_order,
-        "nonlinearity": analysis.nonlinearity(h),
-        "plateaued_order": analysis.plateaued_order(h),
-    }
-    if cert is not None:
-        promises = [("resiliency", ">=", cert.resiliency),
-                    ("nonlinearity", ">=", cert.nonlinearity_bound)]
-    return h, claims, cert, promises
+def _resilient(a, h: BooleanFunction, cert=None, promises=()):
+    """The output with its resiliency claims and certificate, if any,
+    whose promises replace the given ones."""
+    promises = promises if cert is None else cert.promises
+    return h, analysis.certify(a.construction, h, promises, resilient=True), cert
 
 
 # Each build function takes the arguments, the parameter object and the
-# seeded generator.  It returns the output, the claims verified on it, a
-# certificate or None, and its promises.  Truth tables are loaded inside
+# seeded generator.  It returns the output, the claims verified on it and
+# a certificate or None, and raises RuntimeError if the output breaks a
+# promise of its construction's theorem.  Truth tables are loaded inside
 # the call that consumes them, so none is held while the claims are
 # computed.
 
 
 def _direct_sum(a, p, rng):
     f, g = _load(a.f), _load(a.g)
-    h, claims, _, _ = _resilient(constructions.direct_sum(f, g))
-    nf, ng = analysis.nonlinearity(f), analysis.nonlinearity(g)
-    formula = (1 << f.n) * ng + (1 << g.n) * nf - 2 * nf * ng
-    claims["nonlinearity_formula"] = formula
-    return h, claims, None, [("nonlinearity", "==", formula)]
+    formula = constructions.direct_sum_nonlinearity(f, g)
+    h, claims, _ = _resilient(a, constructions.direct_sum(f, g),
+                              promises=[("nonlinearity", "==", formula)])
+    return h, {**claims, "nonlinearity_formula": formula}, None
 
 
 def _indirect_sum(a, p, rng):
     tables = map(_load, (a.f1, a.f2, a.g1, a.g2))
-    return _bent(constructions.indirect_sum(*tables), promised=False)  # no premise checked
+    return _bent(a, constructions.indirect_sum(*tables), promises=())  # no premise checked
 
 
 def _restricted_indirect_sum(a, p, rng):
-    return _bent(constructions.restricted_indirect_sum(
+    return _bent(a, constructions.restricted_indirect_sum(
         _load(a.f), a.mu, _load(a.g), a.rho, a.variant
     ))
 
@@ -255,7 +235,7 @@ def _restricted_indirect_sum(a, p, rng):
 def _mm(a, p, rng):
     phi = _param_map(p, "phi", "k", rng)
     u = _param_function(p.get("u", "random"), rng, phi.k, "u")
-    return _bent(constructions.mm_function(phi, u, require_bent=True))
+    return _bent(a, constructions.mm_function(phi, u, require_bent=True))
 
 
 def _psap(a, p, rng):
@@ -263,13 +243,13 @@ def _psap(a, p, rng):
     theta = p.get("theta", "random")
     if theta == "random":
         theta = rand.random_balanced_field_table(field.m, rng)
-    return _bent(constructions.psap_bent(field, theta))
+    return _bent(a, constructions.psap_bent(field, theta))
 
 
 def _class_d(a, p, rng):
     phi = _param_map(p, "phi", "k", rng, fix_zero=True)
     e1, e2 = _subspaces(p, phi, "e1", "e2")
-    return _bent(constructions.class_d_bent(phi, e1, e2))
+    return _bent(a, constructions.class_d_bent(phi, e1, e2))
 
 
 def _mm_restricted_sum(a, p, rng):
@@ -277,7 +257,7 @@ def _mm_restricted_sum(a, p, rng):
     psi = _param_map(p, "psi", "k_g", rng)
     u = _param_function(p.get("u", "random"), rng, phi.k, "u")
     v = _param_function(p.get("v", "random"), rng, psi.k, "v")
-    return _bent(constructions.mm_restricted_sum(phi, psi, a.mu, a.rho, u, v))
+    return _bent(a, constructions.mm_restricted_sum(phi, psi, a.mu, a.rho, u, v))
 
 
 def _psap_restricted_sum(a, p, rng):
@@ -287,7 +267,7 @@ def _psap_restricted_sum(a, p, rng):
          _element_pair(p["shift_" + s], "shift_" + s))
         for s, table in (("f", "theta"), ("g", "vartheta"))
     ]
-    return _bent(constructions.psap_restricted_sum(*sides[0], *sides[1]))
+    return _bent(a, constructions.psap_restricted_sum(*sides[0], *sides[1]))
 
 
 def _class_d_restricted_sum(a, p, rng):
@@ -296,40 +276,40 @@ def _class_d_restricted_sum(a, p, rng):
     e1, e2 = _subspaces(p, phi, "e1", "e2")
     xi1, xi2 = _subspaces(p, psi, "xi1", "xi2")
     h = constructions.class_d_restricted_sum(phi, e1, e2, psi, xi1, xi2, a.mu, a.rho)
-    return _bent(h)
+    return _bent(a, h)
 
 
 def _rothaus(a, p, rng):
-    return _bent(constructions.rothaus(*map(_load, (a.f1, a.f2, a.f3))))
+    return _bent(a, constructions.rothaus(*map(_load, (a.f1, a.f2, a.f3))))
 
 
 def _rothaus_restricted_sum(a, p, rng):
     tables = map(_load, (a.f1, a.f2, a.f3, a.g1, a.g2, a.g3))
-    return _bent(constructions.rothaus_restricted_sum(*tables))
+    return _bent(a, constructions.rothaus_restricted_sum(*tables))
 
 
 def _generalized_indirect_sum(a, p, rng):
     tables = map(_load, (a.f1, a.f2, a.f3, a.g1, a.g2, a.g3))
     h = constructions.generalized_indirect_sum(*tables, mode=a.mode, t=a.t, k=a.k)
     if a.mode == "bent":
-        return _bent(h)
+        return _bent(a, h)
     if a.mode == "resilient":
-        return _resilient(h, promises=[("resiliency", ">=", a.t + a.k + 1)])
-    return _resilient(h)  # no premise checked, so nothing promised
+        return _resilient(a, h, promises=[("resiliency", ">=", a.t + a.k + 1)])
+    return _resilient(a, h)  # no premise checked, so nothing promised
 
 
 def _resilient_indirect_sum(a, p, rng):
     f1, f2, f3, g1, g2, g3 = map(_load, (a.f1, a.f2, a.f3, a.g1, a.g2, a.g3))
     constructions.check_total(f1.n + g1.n)  # before the triple's spectra
     triple = constructions.BentTriple(f1, f2, f3)
-    return _resilient(*constructions.resilient_indirect_sum(triple, g1, g2, g3, a.k))
+    return _resilient(a, *constructions.resilient_indirect_sum(triple, g1, g2, g3, a.k))
 
 
 def _resilient_indirect_sum_pair(a, p, rng):
     f1, f2, f3, fp, fq = map(_load, (a.f1, a.f2, a.f3, a.p, a.q))
     constructions.check_total(f1.n + fp.n)  # before the triple's spectra
     triple = constructions.BentTriple(f1, f2, f3)
-    return _resilient(*constructions.resilient_indirect_sum_from_pair(
+    return _resilient(a, *constructions.resilient_indirect_sum_from_pair(
         triple, fp, fq, a.i, a.k
     ))
 
@@ -396,13 +376,9 @@ def cmd_build(args) -> int:
     # TypeError: a parameter value of the wrong JSON type; OverflowError: a
     # number such as 1e400, which JSON reads as infinity, used as an integer
     try:
-        h, claims, cert, promises = build(args, p, rand.XorShift64Star(args.seed))
+        h, claims, cert = build(args, p, rand.XorShift64Star(args.seed))
     except (TypeError, OverflowError) as exc:
         raise PremiseError(f"malformed parameters for {name}: {exc}") from exc
-    for claim, relation, value in promises:
-        if not _HOLDS[relation](claims[claim], value):  # an internal error
-            return _fail(f"{name} promises {claim} {relation} {json.dumps(value)}, "
-                         f"but its output has {claim} {json.dumps(claims[claim])}", 1)
     _write(h, args.output)
     out = {"construction": name, "n": h.n, "output": args.output, "verified": claims}
     if cert is not None:
@@ -471,5 +447,5 @@ def main(argv=None) -> int:
         return _fail(exc, 4)
     except (PremiseError, ValueError, KeyError) as exc:
         return _fail(exc, 3)
-    except OSError as exc:
+    except (OSError, RuntimeError) as exc:  # RuntimeError: an internal error
         return _fail(exc, 1)

@@ -307,6 +307,12 @@ def direct_sum(f: BooleanFunction, g: BooleanFunction) -> BooleanFunction:
     return _two_block(f, g)
 
 
+def direct_sum_nonlinearity(f: BooleanFunction, g: BooleanFunction) -> int:
+    """The nonlinearity of direct_sum(f, g): 2^n N_g + 2^m N_f - 2 N_f N_g."""
+    nf, ng = nonlinearity(f), nonlinearity(g)
+    return (1 << f.n) * ng + (1 << g.n) * nf - 2 * nf * ng
+
+
 def indirect_sum(
     f1: BooleanFunction, f2: BooleanFunction, g1: BooleanFunction, g2: BooleanFunction
 ) -> BooleanFunction:
@@ -615,6 +621,13 @@ class ResilientSumCertificate:
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+    @property
+    def promises(self) -> list:
+        """The (claim, relation, value) the theorem states of the output:
+        it is at least k-resilient, with nonlinearity at least the bound."""
+        return [("resiliency", ">=", self.resiliency),
+                ("nonlinearity", ">=", self.nonlinearity_bound)]
 
 
 def _distinct_up_to_complement(

@@ -310,11 +310,16 @@ def test_parseval_via_spectrum_type(n, seed):
 
 
 def test_consistency_checks_survive_python_O():
-    # analyze's bound check and the field-trace check must not be asserts
+    # analyze's bound check, certify's promise check and the field-trace
+    # check must not be asserts
     code = """
 import bentkit.analysis as analysis
 from bentkit import BooleanFunction, GaloisField
 
+try:
+    analysis.certify("x1x2", BooleanFunction(2, [0, 0, 0, 1]), [("bent", "==", False)])
+except RuntimeError as exc:
+    print("certify:", exc)
 analysis.bounds_report = lambda n, res: analysis.BoundsReport(n, res, n, 0)
 try:
     analysis.analyze(BooleanFunction(2, [0, 0, 0, 1]))
@@ -331,6 +336,8 @@ except RuntimeError as exc:
         [sys.executable, "-O", "-c", code], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+    assert ("certify: x1x2 promises bent == false, but its output has bent true"
+            in proc.stdout)
     assert "analyze: nonlinearity 1 and degree 2 break the caps" in proc.stdout
     assert "trace: trace of 2 is 3" in proc.stdout
 

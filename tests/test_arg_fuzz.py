@@ -90,6 +90,7 @@ _CALLS = {
     "ResiliencyReport": ("int", "int"),
     "analyze": ("fn",),
     "bounds_report": ("int", "int"),
+    "certify": ("text", "fn"),
     "complementary_plateaued": ("fn", "fn"),
     "dual": ("fn",),
     "is_bent": ("fn",),

@@ -807,6 +807,80 @@ def test_build_whose_output_breaks_its_theorem_exits_1(tmp_path, monkeypatch, ca
     assert not out.exists()
 
 
+def test_build_whose_output_beats_its_promise_exits_0(tmp_path):
+    # k only gates the premises, so --k 0 writes the --k 1 output: its
+    # resiliency 1 beats the promised resiliency >= 0
+    make_args, want = DIGEST_CASES["resilient-indirect-sum-pair"]
+    args = make_args(_digest_inputs(tmp_path), tmp_path)
+    args[args.index("--k") + 1] = 0
+    out = tmp_path / "h.tt"
+    summary = json.loads(run("build", "resilient-indirect-sum-pair", *args, "-o", out).stdout)
+    assert (summary["verified"]["resiliency"], summary["certificate"]["resiliency"]) == (1, 0)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
+def test_build_whose_certificate_bound_exceeds_its_output_exits_1(
+    tmp_path, monkeypatch, capsys
+):
+    import dataclasses
+
+    from bentkit import cli, constructions
+
+    real = constructions.resilient_indirect_sum_from_pair
+
+    def overbound(*args, **kwargs):  # the real output, its bound one too high
+        h, cert = real(*args, **kwargs)
+        return h, dataclasses.replace(cert, nonlinearity_bound=cert.nonlinearity + 1)
+
+    monkeypatch.setattr(constructions, "resilient_indirect_sum_from_pair", overbound)
+    out = tmp_path / "h.tt"
+    args = DIGEST_CASES["resilient-indirect-sum-pair"][0](_digest_inputs(tmp_path), tmp_path)
+    argv = ["build", "resilient-indirect-sum-pair", *map(str, args), "-o", str(out)]
+    assert cli.main(argv) == 1
+    std = capsys.readouterr()
+    assert std.out == ""
+    assert std.err == ("error: resilient-indirect-sum-pair promises nonlinearity >= 8065, "
+                       "but its output has nonlinearity 8064\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["psap", "resilient-indirect-sum-pair"])
+def test_certify_is_what_build_verifies(tmp_path, case):
+    from bentkit import ResilientSumCertificate, analysis
+
+    out = tmp_path / "h.tt"
+    args = DIGEST_CASES[case][0](_digest_inputs(tmp_path), tmp_path)
+    summary = json.loads(run("build", case, *args, "-o", out).stdout)
+    h = parse_truth_table(out.read_text())
+    if case == "psap":
+        promises, resilient, claim = [("bent", "==", True)], False, ("bent", "==", False)
+    else:
+        cert = ResilientSumCertificate(**summary["certificate"])
+        promises, resilient = cert.promises, True
+        claim = ("nonlinearity", ">=", cert.nonlinearity + 1)
+    claims = analysis.certify(case, h, promises, resilient=resilient)
+    assert list(claims.items()) == list(summary["verified"].items())
+    name, relation, value = claim
+    with pytest.raises(RuntimeError) as exc:
+        analysis.certify("label", h, [claim], resilient=resilient)
+    assert str(exc.value) == (f"label promises {name} {relation} {json.dumps(value)}, "
+                              f"but its output has {name} {json.dumps(claims[name])}")
+
+
+def test_runtime_error_inside_a_build_exits_1(tmp_path, monkeypatch, capsys):
+    from bentkit import cli, constructions
+
+    def internal_error(*args, **kwargs):
+        raise RuntimeError("internal\nerror")
+
+    monkeypatch.setattr(constructions, "psap_bent", internal_error)
+    out = tmp_path / "h.tt"
+    args = DIGEST_CASES["psap"][0](_digest_inputs(tmp_path), tmp_path)
+    assert cli.main(["build", "psap", *map(str, args), "-o", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: internal\\nerror\n")
+    assert not out.exists()
+
+
 def test_build_without_a_premise_promises_nothing(tmp_path):
     # indirect-sum checks no premise, so a non-bent output is written
     x = tmp_path / "x.tt"

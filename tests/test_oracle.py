@@ -220,6 +220,23 @@ def test_verify_resiliency_reports_an_is_resilient_divergence(monkeypatch):
     assert report.first_divergence == (2, True, False)
 
 
+def test_verify_walsh_reports_a_divergence_at_w0_only(monkeypatch):
+    # the true spectrum with W(0) negated: Parseval and the range still
+    # hold, so only the comparison at w = 0 can catch it
+    from bentkit import WalshSpectrum, oracle
+
+    real = oracle.walsh_transform
+
+    def negated_w0(f):
+        raw = real(f)._raw.copy()
+        raw[0] = -raw[0]
+        return WalshSpectrum(f.n, raw)
+
+    monkeypatch.setattr(oracle, "walsh_transform", negated_w0)
+    report = verify_walsh(random_function(6, XorShift64Star(3)))
+    assert report == oracle.OracleReport("walsh", False, (0, 8, -8))
+
+
 def test_caps():
     with pytest.raises(CapError):
         naive_walsh(BooleanFunction.zero(CAP + 1))

@@ -17,9 +17,10 @@ from bentkit import BooleanFunction, PermutationMap, mm_function, serialize_trut
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# every name the package exported when its __init__ imported eagerly
+# every name the package exported when its __init__ imported eagerly, and
+# certify, exported since
 EXPORTED = """
-AnalysisProfile BoundsReport ResiliencyReport analyze bounds_report
+AnalysisProfile BoundsReport ResiliencyReport analyze bounds_report certify
 complementary_plateaued dual is_bent is_semi_bent nonlinearity
 plateaued_order resiliency_report BentTriple LinearSubspace PermutationMap
 ResilientSumCertificate bent_triple_from_derivative class_d_bent
