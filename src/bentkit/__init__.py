@@ -20,7 +20,6 @@ _EXPORTS = {
         "complementary_plateaued",
         "dual",
         "is_bent",
-        "is_semi_bent",
         "nonlinearity",
         "plateaued_order",
         "resiliency_report",
@@ -52,7 +51,6 @@ _EXPORTS = {
         "AnfPolynomial",
         "BooleanFunction",
         "WalshSpectrum",
-        "decode_point",
         "degree",
         "degree_of_variable",
         "encode_point",

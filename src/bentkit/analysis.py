@@ -126,10 +126,6 @@ def semi_bent_order(n: int) -> int:
     return 2 * math.ceil((n - 2) / 2)
 
 
-def is_semi_bent(f: BooleanFunction) -> bool:
-    return plateaued_order(f) == semi_bent_order(f.n)
-
-
 def complementary_plateaued(g1: BooleanFunction, g2: BooleanFunction) -> bool:
     """Both (p-1)th-order plateaued in p (odd) variables with Walsh
     supports partitioning F_2^p."""
@@ -218,13 +214,9 @@ class AnalysisProfile:
 
     def as_dict(self) -> dict:
         out = asdict(self)
-        # reported only when the bound statement applies
-        if not 0 <= self.resiliency <= self.n - 2:
+        if self.sarkar_maitra_bound is None:  # analyze sets it only where it applies
             del out["sarkar_maitra_bound"]
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
 
 
 def analyze(f: BooleanFunction) -> AnalysisProfile:
@@ -237,7 +229,6 @@ def analyze(f: BooleanFunction) -> AnalysisProfile:
         raise RuntimeError(
             f"nonlinearity {nl} and degree {deg} break the caps {bounds.as_dict()}"
         )
-    sm = bounds.nonlinearity_cap if 0 <= res <= f.n - 2 else None
     order = plateaued_order(f)
     return AnalysisProfile(
         n=f.n,
@@ -250,7 +241,7 @@ def analyze(f: BooleanFunction) -> AnalysisProfile:
         bent=is_bent(f),
         plateaued_order=order,
         semi_bent=order == semi_bent_order(f.n),
-        sarkar_maitra_bound=sm,
+        sarkar_maitra_bound=bounds.nonlinearity_cap if 0 <= res <= f.n - 2 else None,
     )
 
 

@@ -75,7 +75,7 @@ def _emit(obj: dict) -> None:
 
 
 def cmd_analyze(args) -> int:
-    print(analysis.analyze(_load(args.path)).to_json())
+    _emit(analysis.analyze(_load(args.path)).as_dict())
     return 0
 
 

@@ -50,13 +50,6 @@ def encode_point(x: Sequence[int]) -> int:
     return i
 
 
-def decode_point(i: int, n: int) -> tuple[int, ...]:
-    """Inverse of encode_point for n variables."""
-    n = _integer(n, "variable count", 1, MAX_VARS)
-    i = _integer(i, "index", 0, (1 << n) - 1)
-    return tuple((i >> (n - j)) & 1 for j in range(1, n + 1))
-
-
 def _as_index(a, n: int) -> int:
     """Accept a point either as a bit vector of length n or a raw index."""
     if not hasattr(a, "__iter__"):
@@ -218,10 +211,6 @@ class BooleanFunction:
     def values(self) -> np.ndarray:
         """The full table as a fresh uint8 array in index order."""
         return _unpack_bits(self._mask, self._n)
-
-    def signs(self) -> np.ndarray:
-        """(-1)^f as an int64 array."""
-        return 1 - 2 * self.values().astype(np.int64)
 
     # -- algebra -------------------------------------------------------
 

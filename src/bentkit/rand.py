@@ -7,6 +7,7 @@ touches the stdlib RNG.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain, islice
 
 import numpy as np
@@ -149,13 +150,7 @@ class XorShift64Star:
         self._last = w
 
 
-_FIELDS: dict[int, GaloisField] = {}
-
-
-def _field(m: int) -> GaloisField:
-    if m not in _FIELDS:
-        _FIELDS[m] = GaloisField(m)
-    return _FIELDS[m]
+_field = cache(GaloisField)  # one field per extension degree
 
 
 def _variables(n: int) -> int:

@@ -1,0 +1,79 @@
+"""Hand-written mutants of the certificate paths, each with a test that
+kills it.
+
+A mutant is (file, old text, new text, test): with the one occurrence of
+the old text in the file replaced by the new, the test must fail.
+`test_package.py` checks that every old text still occurs exactly once
+and that every named test exists, so the list cannot go stale.  Running
+the mutants is not part of the suite; this script does it, each on a
+fresh copy of `src` and `tests` in a temporary directory:
+
+    python tests/mutants.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# where both butterfly mutants act: the last column chunk of every in-place
+# stage with h >= 2^23, so only transforms of n >= 24 variables
+_LAST_WIDE_CHUNK = "            if h >= 1 << 23 and j + cols >= h:\n"
+
+MUTANTS = [
+    # a sign error that keeps every |W|, so Parseval and is_bent pass
+    ("src/bentkit/core.py",
+     "            y += x\n",
+     "            y += x\n" + _LAST_WIDE_CHUNK + "                y *= -1\n",
+     "tests/test_core.py::test_walsh_is_exact_everywhere_at_24_variables"),
+    # a skipped chunk, which the constructor's Parseval check refuses
+    ("src/bentkit/core.py",
+     "            chunk = pairs[i : i + rows, :, j : j + cols]\n",
+     _LAST_WIDE_CHUNK + "                continue\n"
+     "            chunk = pairs[i : i + rows, :, j : j + cols]\n",
+     "tests/test_core.py::test_walsh_is_exact_everywhere_at_24_variables"),
+    # a correct output that beats a >= promise would exit 1
+    ("src/bentkit/analysis.py",
+     '_HOLDS = {"==": operator.eq, ">=": operator.ge}\n',
+     '_HOLDS = {"==": operator.eq, ">=": operator.eq}\n',
+     "tests/test_cli.py::test_build_whose_output_beats_its_promise_exits_0"),
+    # the certificate's nonlinearity bound would go unchecked
+    ("src/bentkit/constructions.py",
+     '        return [("resiliency", ">=", self.resiliency),\n'
+     '                ("nonlinearity", ">=", self.nonlinearity_bound)]\n',
+     '        return [("resiliency", ">=", self.resiliency)]\n',
+     "tests/test_cli.py::test_build_whose_certificate_bound_exceeds_its_output_exits_1"),
+    # the oracle would miss a divergence at W(0)
+    ("src/bentkit/oracle.py",
+     "    diff = np.nonzero(fast != slow)[0]\n",
+     "    diff = np.nonzero(fast[1:] != slow[1:])[0] + 1\n",
+     "tests/test_oracle.py::test_verify_walsh_reports_a_divergence_at_w0_only"),
+]
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def killed(mutant) -> bool:
+    """Whether the mutant's test fails on a mutated copy of the checkout
+    (pytest's exit code 1; a collection or usage error is not a kill)."""
+    path, old, new, test = mutant
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests", "pyproject.toml"):
+            (shutil.copytree if (ROOT / part).is_dir() else shutil.copy)(
+                ROOT / part, copy / part)
+        target = copy / path
+        target.write_text(target.read_text().replace(old, new))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test],
+            cwd=copy, env=dict(os.environ, PYTHONPATH=str(copy / "src")),
+            capture_output=True,
+        )
+    return proc.returncode == 1
+
+
+if __name__ == "__main__":
+    for mutant in MUTANTS:
+        print("killed " if killed(mutant) else "SURVIVED", mutant[0], mutant[3], flush=True)

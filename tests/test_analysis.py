@@ -1,4 +1,3 @@
-import json
 import re
 import subprocess
 import sys
@@ -18,7 +17,6 @@ from bentkit import (
     complementary_plateaued,
     dual,
     is_bent,
-    is_semi_bent,
     nonlinearity,
     plateaued_order,
     resiliency_report,
@@ -187,7 +185,7 @@ def test_plateaued_restriction_semi_bent():
     f = random_bent(6, rng)
     g = f.restrict(3, 0)
     assert plateaued_order(g) == 4
-    assert is_semi_bent(g)
+    assert analyze(g).semi_bent
     assert semi_bent_order(5) == 4
     assert semi_bent_order(6) == 4
 
@@ -267,7 +265,7 @@ def test_profile_bent_invariant():
 
 def test_profile_json_fields():
     prof = analyze(BooleanFunction.linear(8, 0b11000000))
-    d = json.loads(prof.to_json())
+    d = prof.as_dict()
     assert d["resiliency"] == 1
     assert d["sarkar_maitra_bound"] == 116
     assert set(d) == {
@@ -296,7 +294,7 @@ def test_siegenthaler_degree_cap_on_resilient_corpus():
 def test_semi_bent_flag_matches_order(n, seed):
     f = random_function(n, XorShift64Star(seed))
     r = plateaued_order(f)
-    assert is_semi_bent(f) == (r == semi_bent_order(n))
+    assert analyze(f).semi_bent == (r == semi_bent_order(n))
 
 
 @settings(max_examples=30)

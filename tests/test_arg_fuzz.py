@@ -94,7 +94,6 @@ _CALLS = {
     "complementary_plateaued": ("fn", "fn"),
     "dual": ("fn",),
     "is_bent": ("fn",),
-    "is_semi_bent": ("fn",),
     "nonlinearity": ("fn",),
     "plateaued_order": ("fn",),
     "resiliency_report": ("fn",),
@@ -139,7 +138,6 @@ _CALLS = {
     "BooleanFunction.restrict": ("fn", "int", "int"),
     "WalshSpectrum": ("int", "spectrum"),
     "WalshSpectrum.__getitem__": ("walsh", "point"),
-    "decode_point": ("int", "int"),
     "degree": ("fn",),
     "degree_of_variable": ("fn", "int"),
     "encode_point": ("ints",),

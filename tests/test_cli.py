@@ -18,6 +18,7 @@ from bentkit import (
 )
 from bentkit.rand import (
     XorShift64Star,
+    random_balanced,
     random_function,
     random_mm_bent,
     random_mm_bent_triple,
@@ -53,6 +54,31 @@ def test_analyze_resilient_parity(tmp_path):
     p = put(tmp_path, "f.tt", BooleanFunction.linear(3, 0b111))
     out = json.loads(run("analyze", p).stdout)
     assert out["resiliency"] == 2
+
+
+# sha256 of the whole `analyze` report, with the resiliency and the
+# Sarkar-Maitra bound it states; the bound's key is there only for
+# 0 <= resiliency <= n - 2
+ANALYZE_CASES = {
+    "mm-bent": (lambda: MM4, -1, None,
+                "2ee9965f561407cf51520cf524cdd35ee6b563147cadb84b3f285d5384a4f5e4"),
+    "balanced": (lambda: random_balanced(7, XorShift64Star(5)), 0, 58,
+                 "a4eaec1c6d654786a75dd8eaed8e23b59b44b341aae331f388acb6c51881a9c5"),
+    "linear-8": (lambda: BooleanFunction.linear(8, 0b11000000), 1, 116,
+                 "32b0c3baa44624acb74355bac996ab5e7a058a30cf602d958bec4d7f1d2b78ef"),
+    "all-ones-6": (lambda: BooleanFunction.linear(6, 0b111111), 5, None,
+                   "de63bff8680822989aeae9e277ee9a0a76cb47d5824a557a5af15fcdc06d0e60"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ANALYZE_CASES))
+def test_analyze_report_bytes_are_pinned(tmp_path, case):
+    make, resiliency, bound, want = ANALYZE_CASES[case]
+    proc = run("analyze", put(tmp_path, "f.tt", make()))
+    report = json.loads(proc.stdout)
+    assert (report["resiliency"], report.get("sarkar_maitra_bound")) == (resiliency, bound)
+    assert ("sarkar_maitra_bound" in report) == (bound is not None)
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == want
 
 
 def test_analyze_malformed_exits_2(tmp_path):

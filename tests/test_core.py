@@ -11,10 +11,12 @@ from bentkit import (
     BooleanFunction,
     TruthTableFormatError,
     WalshSpectrum,
-    decode_point,
     degree,
     degree_of_variable,
+    dual,
     encode_point,
+    is_bent,
+    mm_function,
     mobius,
     mobius_inv,
     parse_truth_table,
@@ -22,7 +24,7 @@ from bentkit import (
     walsh_transform,
 )
 import bentkit.core as core
-from bentkit.rand import XorShift64Star, random_function, random_mm_bent
+from bentkit.rand import XorShift64Star, random_function, random_mm_bent, random_permutation
 from test_rand import SEEDS
 
 
@@ -40,13 +42,12 @@ def test_encoding_order():
     # x_n varies fastest: (x1, x2) = (1, 0) sits at index 2
     assert encode_point((1, 0)) == 2
     assert encode_point((0, 1)) == 1
-    assert decode_point(2, 2) == (1, 0)
 
 
 @given(st.integers(1, 8), st.data())
 def test_encode_decode_round_trip(n, data):
     i = data.draw(st.integers(0, (1 << n) - 1))
-    assert encode_point(decode_point(i, n)) == i
+    assert encode_point(tuple((i >> (n - j)) & 1 for j in range(1, n + 1))) == i
 
 
 def test_variable_count_bounds():
@@ -214,7 +215,7 @@ def test_walsh_w0_is_weight_identity(n, seed):
 
 def reference_walsh(f):
     """The int64 butterfly the byte-table kernel replaced, one stage per h."""
-    a = f.signs()
+    a = 1 - 2 * f.values().astype(np.int64)
     size = a.shape[0]
     h = 1
     while h < size:
@@ -241,6 +242,22 @@ def test_walsh_agrees_with_the_reference_butterfly_on_large_bent(n):
     got = walsh_transform(f).values
     assert np.array_equal(got, reference_walsh(f))
     assert np.all(np.abs(got) == 1 << (n // 2))
+
+
+def test_walsh_is_exact_everywhere_at_24_variables():
+    # f(x, y) = x.phi(y) + u(y) on 12 + 12 variables has W_f(a, b) =
+    # 2^12 (-1)^(u(phi^-1(a)) + b.phi^-1(a)): every entry is +-2^12, so
+    # is_bent and the dual's closed form fix its sign and place.  No int64
+    # reference is built; the closed form is one outer AND.
+    rng = XorShift64Star(2400)
+    phi, u = random_permutation(12, rng), random_function(12, rng)
+    f = mm_function(phi, u)
+    assert is_bent(f)
+    inv = np.argsort(np.array(phi.images, dtype=np.uint32)).astype(np.uint32)
+    want = np.bitwise_count(np.bitwise_and.outer(inv, np.arange(1 << 12, dtype=np.uint32)))
+    want &= 1
+    want ^= u.values()[inv][:, None]
+    assert dual(f) == BooleanFunction(24, want.reshape(-1))
 
 
 @pytest.mark.parametrize("n", [*range(13, 19), 20])
@@ -613,10 +630,6 @@ def test_degree_of_xor_bounded(n, s1, s2):
 @pytest.mark.parametrize("call, error, fragment", [
     pytest.param(lambda: encode_point((0, 2)), ValueError,
                  "vector entry must be in [0, 1], got 2", id="encode-point-non-bit"),
-    pytest.param(lambda: decode_point(8, 3), ValueError,
-                 "index must be in [0, 7], got 8", id="decode-point-above"),
-    pytest.param(lambda: decode_point(-1, 3), ValueError,
-                 "index must be in [0, 7], got -1", id="decode-point-negative"),
     pytest.param(lambda: BooleanFunction(2, 1 << 4), ValueError,
                  "table mask has bits beyond 2^n entries", id="mask-too-wide"),
     pytest.param(lambda: BooleanFunction(2, -1), ValueError,
