@@ -261,6 +261,8 @@ def _mm_restricted_sum(a, p, rng):
 
 
 def _psap_restricted_sum(a, p, rng):
+    m_f, m_g = (_integer(p[key], "extension degree") for key in ("m_f", "m_g"))
+    constructions.check_total(2 * m_f + 2 * m_g - 2)  # before either field is built
     # field, bit table, hyperplane form and coset shift of each side
     sides = [
         (GaloisField(p["m_" + s]), p[table], _element_pair(p["form_" + s], "form_" + s),
@@ -380,6 +382,8 @@ def cmd_build(args) -> int:
     except (TypeError, OverflowError) as exc:
         raise PremiseError(f"malformed parameters for {name}: {exc}") from exc
     _write(h, args.output)
+    if args.output is None:  # stdout holds the table alone
+        return 0
     out = {"construction": name, "n": h.n, "output": args.output, "verified": claims}
     if cert is not None:
         out["certificate"] = cert.as_dict()

@@ -97,12 +97,6 @@ class PermutationMap:
     def __call__(self, y: int) -> int:
         return self.images[_integer(y, "index", 0, (1 << self.k) - 1)]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PermutationMap)
-            and (self.k, self.r, self.images) == (other.k, other.r, other.images)
-        )
-
     def __repr__(self) -> str:
         kind = "permutation" if self.is_permutation else f"map to F_2^{self.r}"
         return f"PermutationMap(k={self.k}, {kind})"
@@ -214,8 +208,6 @@ def psap_bent(field: GaloisField, theta: Sequence[int]) -> BooleanFunction:
     balanced with theta(0) = 0 so that the x/0 = 0 convention and the
     f(x, 0) = 0 reading of the class agree.
     """
-    m = field.m
-    check_total(2 * m)
     bits = [_integer(b, "theta entry", 0, 1) for b in theta]
     if len(bits) != field.order:
         raise ValueError(f"theta must be a bit table over all {field.order} elements")
@@ -232,7 +224,7 @@ def psap_bent(field: GaloisField, theta: Sequence[int]) -> BooleanFunction:
     powers = np.array(bits, dtype=np.uint8)[field.exp]
     table = np.concatenate([powers, powers])[np.add.outer(logs, span - logs)]
     table[0, :] = table[:, 0] = bits[0]
-    return BooleanFunction(2 * m, _pack_bits(table.reshape(-1)))
+    return BooleanFunction(2 * field.m, _pack_bits(table.reshape(-1)))
 
 
 def class_d_bent(

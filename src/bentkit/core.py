@@ -398,6 +398,11 @@ class WalshSpectrum:
     def __len__(self) -> int:
         return 1 << self.n
 
+    def __iter__(self):
+        # __getitem__ raises ValueError past the end, not the IndexError
+        # that ends Python's iteration by index
+        return map(int, self._raw)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, WalshSpectrum)

@@ -1,4 +1,7 @@
-"""GF(2^m) arithmetic in polynomial basis, 1 <= m <= 16.
+"""GF(2^m) arithmetic in polynomial basis, 1 <= m <= MAX_VARS / 2 = 13.
+
+The degree is capped there because the field's only use is the PS_ap
+class, whose functions take 2m variables, at most MAX_VARS.
 
 Elements are m-bit ints, bit j = coefficient of X^j.  Each degree uses
 the lexicographically smallest irreducible reduction polynomial so that
@@ -12,9 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _integer
-
-MAX_DEGREE = 16
+from .core import MAX_VARS, _integer
 
 
 def _polymod(a: int, q: int) -> int:
@@ -50,7 +51,7 @@ class GaloisField:
     __slots__ = ("m", "reduction_poly", "order", "exp", "log")
 
     def __init__(self, m: int):
-        self.m = m = _integer(m, "extension degree", 1, MAX_DEGREE)
+        self.m = m = _integer(m, "extension degree", 1, MAX_VARS // 2)
         self.reduction_poly = smallest_irreducible(m)
         self.order = 1 << m
         self.exp, self.log = self._tables()
@@ -117,16 +118,6 @@ class GaloisField:
         for j in range(self.m):
             out |= ((v >> j) & 1) << (self.m - 1 - j)
         return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GaloisField)
-            and self.m == other.m
-            and self.reduction_poly == other.reduction_poly
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.reduction_poly))
 
     def __repr__(self) -> str:
         return f"GaloisField(m={self.m}, poly={self.reduction_poly:#x})"

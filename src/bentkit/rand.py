@@ -23,7 +23,7 @@ from .constructions import (
     psap_bent,
 )
 from .core import MAX_VARS, BooleanFunction, _integer
-from .galois import MAX_DEGREE, GaloisField
+from .galois import GaloisField
 from .analysis import is_resilient
 
 _MASK64 = (1 << 64) - 1
@@ -32,26 +32,21 @@ _MULT_INV = pow(_MULT, -1, 1 << 64)  # the multiplier is odd
 _ZERO_SEED_STATE = 0x9E3779B97F4A7C15  # the state seed 0 starts from
 _BLOCK = 256  # words drawn at a time
 
-# row j: T^1 e_j, ..., T^256 e_j, where T is the xorshift step and e_j the
-# unit state 1 << j; built by _jump on the first block drawn
-_JUMP = None
 
-
+@cache
 def _jump() -> np.ndarray:
-    """The jump table, built once.  T is linear over GF(2)^64, so the state
-    k steps after x is the XOR of column k - 1 over the rows j with bit j
-    of x set."""
-    global _JUMP
-    if _JUMP is None:
-        x = np.uint64(1) << np.arange(64, dtype=np.uint64)
-        table = np.empty((64, _BLOCK), np.uint64)
-        for k in range(_BLOCK):
-            x ^= x >> 12
-            x ^= x << 25  # uint64: the bits shifted past 63 drop
-            x ^= x >> 27
-            table[:, k] = x
-        _JUMP = table
-    return _JUMP
+    """The jump table, built on the first block drawn: row j holds T^1 e_j,
+    ..., T^256 e_j, where T is the xorshift step and e_j the unit state
+    1 << j.  T is linear over GF(2)^64, so the state k steps after x is the
+    XOR of column k - 1 over the rows j with bit j of x set."""
+    x = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    table = np.empty((64, _BLOCK), np.uint64)
+    for k in range(_BLOCK):
+        x ^= x >> 12
+        x ^= x << 25  # uint64: the bits shifted past 63 drop
+        x ^= x >> 27
+        table[:, k] = x
+    return table
 
 
 def _blocks(x: int):
@@ -209,7 +204,7 @@ def random_mm_bent(n: int, rng: XorShift64Star) -> BooleanFunction:
 
 def random_balanced_field_table(m: int, rng: XorShift64Star) -> list[int]:
     """A balanced bit table over GF(2^m) with value 0 at the element 0."""
-    half = 1 << (_integer(m, "extension degree", 1, MAX_DEGREE) - 1)
+    half = 1 << (_integer(m, "extension degree", 1, MAX_VARS // 2) - 1)
     rest = [1] * half + [0] * (half - 1)
     rng.shuffle(rest)
     return [0] + rest

@@ -50,7 +50,42 @@ MUTANTS = [
      "    diff = np.nonzero(fast != slow)[0]\n",
      "    diff = np.nonzero(fast[1:] != slow[1:])[0] + 1\n",
      "tests/test_oracle.py::test_verify_walsh_reports_a_divergence_at_w0_only"),
+    # W(0) would count as a nonzero entry of weight 0, so ci_order -1
+    ("src/bentkit/analysis.py",
+     "        nonzero[0] &= lo != 0  # w = 0 is left out\n",
+     "",
+     "tests/test_analysis.py::test_resiliency_unbalanced_ci_still_reported"),
+    # order 1 would skip the last coordinate's balance test
+    ("src/bentkit/analysis.py",
+     "    for s in range(n):\n"
+     "        if (f.mask ^ _coordinate_mask(n, s)).bit_count() != half:\n",
+     "    for s in range(n - 1):\n"
+     "        if (f.mask ^ _coordinate_mask(n, s)).bit_count() != half:\n",
+     "tests/test_analysis.py::test_is_resilient_matches_resiliency_report"),
+    # the dual's complement
+    ("src/bentkit/analysis.py",
+     "_pack_bits(walsh_transform(f)._raw < 0)",
+     "_pack_bits(walsh_transform(f)._raw > 0)",
+     "tests/test_analysis.py::test_dual_self_dual_quadratic"),
+    # the degree would count only the byte index's bits
+    ("src/bentkit/core.py",
+     "        return int((np.bitwise_count(k) + _TOP_WEIGHT[raw[k]]).max(initial=0))\n",
+     "        return int(np.bitwise_count(k).max(initial=0))\n",
+     "tests/test_core.py::test_mobius_single_monomial"),
+    # an output file would never be written
+    ("src/bentkit/cli.py",
+     "        os.replace(tmp, target)\n",
+     "        os.unlink(tmp)\n",
+     "tests/test_cli.py::test_dual_round_trip"),
 ]
+
+# Equivalent mutants, which no test can kill, so none is listed above:
+# - resiliency_report without its `least == 2` break: the later slices
+#   only confirm a least weight of 2, so the break changes only the speed.
+# - plateaued_order's `!=` as `>`, and is_bent's `==` as `<=`: by
+#   Parseval's identity the 2^n squares sum to 4^n, so max|W|^2 is at
+#   least 2^n and support * max|W|^2 at least 4^n; neither product can
+#   fall below its target.
 
 ROOT = Path(__file__).resolve().parent.parent
 

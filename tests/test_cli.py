@@ -403,6 +403,9 @@ _TRIPLE = ("--f1", "--f2", "--f3")
         3, "composite output would need 46 > 26 variables",
         id="class-d-restricted-sum-too-large"),
     pytest.param(
+        lambda t: ["psap", "--param-file", put_json(t, {"m": 14})],
+        3, "extension degree must be in [1, 13], got 14", id="psap-too-large"),
+    pytest.param(
         lambda t: ["psap", "--param-file", put_json(t, {"theta": "random"})],
         3, "missing parameter 'm' for psap", id="missing-key"),
     pytest.param(
@@ -905,6 +908,43 @@ def test_runtime_error_inside_a_build_exits_1(tmp_path, monkeypatch, capsys):
     assert cli.main(["build", "psap", *map(str, args), "-o", str(out)]) == 1
     assert capsys.readouterr() == ("", "error: internal\\nerror\n")
     assert not out.exists()
+
+
+def test_build_without_an_output_file_prints_the_table_alone(tmp_path):
+    args = DIGEST_CASES["psap"][0](_digest_inputs(tmp_path), tmp_path)
+    out = tmp_path / "h.tt"
+    run("build", "psap", *args, "-o", out)
+    table = run("build", "psap", *args).stdout
+    assert table == out.read_text()
+    assert serialize_truth_table(parse_truth_table(table)) == table
+
+
+def test_build_without_an_output_file_still_checks_its_promise(
+        tmp_path, monkeypatch, capsys):
+    from bentkit import cli, constructions
+
+    real = constructions.psap_bent
+    monkeypatch.setattr(constructions, "psap_bent",
+                        lambda *args: real(*args) ^ BooleanFunction(6, 1))
+    args = DIGEST_CASES["psap"][0](_digest_inputs(tmp_path), tmp_path)
+    assert cli.main(["build", "psap", *map(str, args)]) == 1
+    assert capsys.readouterr().err.startswith("error: psap promises bent ")
+
+
+def test_oversize_psap_restricted_sum_builds_no_field(tmp_path, monkeypatch, capsys):
+    from bentkit import cli
+
+    def no_field(m):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(cli, "GaloisField", no_field)
+    param = put_json(tmp_path, {
+        "m_f": 13, "theta": [], "form_f": [1, 0], "shift_f": [1, 0],
+        "m_g": 13, "vartheta": [], "form_g": [1, 0], "shift_g": [1, 0],
+    })
+    assert cli.main(["build", "psap-restricted-sum", "--param-file", str(param)]) == 3
+    assert capsys.readouterr() == (
+        "", "error: composite output would need 50 > 26 variables\n")
 
 
 def test_build_without_a_premise_promises_nothing(tmp_path):

@@ -206,6 +206,16 @@ def test_walsh_spectrum_holds_an_int32_array_as_given():
     assert spec.values.tolist() == [2, 2, 2, -2]
 
 
+def test_walsh_spectrum_iterates_and_still_refuses_an_index_past_its_end():
+    x1, x2, x3 = (BooleanFunction.variable(3, i) for i in (1, 2, 3))
+    spec = walsh_transform(x1 & x2 ^ x3)
+    assert list(spec) == spec.values.tolist() == [0, 4, 0, 4, 0, 4, 0, -4]
+    assert all(type(w) is int for w in spec)
+    assert -4 in spec and 8 not in spec
+    with pytest.raises(ValueError, match=re.escape("index must be in [0, 7], got 8")):
+        spec[8]
+
+
 @settings(max_examples=40)
 @given(st.integers(1, 8), SEEDS)
 def test_walsh_w0_is_weight_identity(n, seed):

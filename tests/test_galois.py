@@ -79,6 +79,13 @@ def test_mul_commutative_associative(m):
                 assert gf.mul(gf.mul(a, b), c) == gf.mul(a, gf.mul(b, c))
 
 
+@pytest.mark.parametrize("m", [0, 14, 16])
+def test_degree_is_capped_where_psap_fills_the_variable_cap(m):
+    # 2m variables of PS_ap, at most MAX_VARS = 26
+    with pytest.raises(ValueError, match=re.escape(f"must be in [1, 13], got {m}")):
+        GaloisField(m)
+
+
 def test_reverse_bits_is_the_block_element_order():
     gf = GaloisField(4)
     assert gf.reverse_bits(0) == 0

@@ -228,14 +228,14 @@ def test_jump_rows_are_the_step_applied_k_times():
 
 
 def test_a_build_that_draws_nothing_leaves_the_jump_table_unbuilt(
-        tmp_path, monkeypatch, capsys):
+        tmp_path, capsys):
     f = tmp_path / "f.tt"
     f.write_text(serialize_truth_table(random_mm_bent_triple(4, XorShift64Star(3))[0]))
-    monkeypatch.setattr(rand, "_JUMP", None)
+    rand._jump.cache_clear()
     code = main(["build", "restricted-indirect-sum", "--f", str(f), "--g", str(f),
                  "-o", str(tmp_path / "h.tt")])
     assert code == 0, capsys.readouterr().err
-    assert rand._JUMP is None
+    assert rand._jump.cache_info().currsize == 0
 
 
 def reference_resilient_triple(n, t, rng):
