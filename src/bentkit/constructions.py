@@ -103,7 +103,9 @@ class PermutationMap:
 
 
 class LinearSubspace:
-    """A linear subspace of F_2^k held as a canonical echelon basis."""
+    """A linear subspace of F_2^k held as its reduced echelon basis: each
+    row's top bit is its pivot, set in no other row, and the rows descend.
+    A subspace has exactly one such basis."""
 
     __slots__ = ("k", "basis")
 
@@ -113,18 +115,11 @@ class LinearSubspace:
         for v in vectors:
             v = _integer(v, "vector", 0, (1 << k) - 1)
             for r in rows:
-                if v ^ r < v:
-                    v ^= r
+                v = min(v, v ^ r)
             if v:
-                rows.append(v)
-                rows.sort(reverse=True)
-        # back-substitute so each pivot appears in exactly one row
-        for i, r in enumerate(rows):
-            p = r.bit_length() - 1
-            for j in range(len(rows)):
-                if j != i and (rows[j] >> p) & 1:
-                    rows[j] ^= r
-        rows.sort(reverse=True)
+                # v holds no pivot, so its top bit is a new one: clear that
+                # bit from the rows (their pivots and order stay), insert v
+                rows = sorted([min(r, r ^ v) for r in rows] + [v], reverse=True)
         self.k = k
         self.basis = tuple(rows)
 
@@ -150,24 +145,20 @@ class LinearSubspace:
     def contains(self, v: int) -> bool:
         v = _integer(v, "vector", 0, (1 << self.k) - 1)
         for r in self.basis:
-            if v ^ r < v:
-                v ^= r
+            v = min(v, v ^ r)
         return v == 0
 
     def orthogonal(self) -> "LinearSubspace":
-        """All w with w.b = 0 for every basis vector b."""
-        keep = [
-            w
-            for w in range(1 << self.k)
-            if all((w & b).bit_count() & 1 == 0 for b in self.basis)
-        ]
-        return LinearSubspace(self.k, keep)
-
-    def indicator(self) -> np.ndarray:
-        """Characteristic table over F_2^k as a uint8 array."""
-        table = np.zeros(1 << self.k, dtype=np.uint8)
-        table[self.members()] = 1
-        return table
+        """All w with w.b = 0 for every basis vector b.  Each coordinate c
+        that is no row's pivot gives one vector: bit c plus the pivot of
+        every row holding bit c.  A row holds only its own pivot, so the
+        vector meets each row in zero or two bits."""
+        pivots = [1 << (r.bit_length() - 1) for r in self.basis]
+        return LinearSubspace(self.k, [
+            1 << c | sum(p for r, p in zip(self.basis, pivots) if r >> c & 1)
+            for c in range(self.k)
+            if 1 << c not in pivots
+        ])
 
     def __eq__(self, other) -> bool:
         return (
@@ -241,7 +232,7 @@ def class_d_bent(
     if image != e1.orthogonal().members():
         raise PremiseError("class D requires phi(E2) to equal the dual of E1")
     zero = BooleanFunction.zero(k)
-    ind = BooleanFunction(k, e1.indicator()), BooleanFunction(k, e2.indicator())
+    ind = [BooleanFunction(k, sum(1 << v for v in e.members())) for e in (e1, e2)]
     return mm_function(phi, zero) ^ _two_block(zero, zero, ind)
 
 

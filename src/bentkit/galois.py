@@ -39,10 +39,8 @@ def is_irreducible(poly: int, m: int) -> bool:
 
 
 def smallest_irreducible(m: int) -> int:
-    for cand in range(1 << m, 1 << (m + 1)):
-        if is_irreducible(cand, m):
-            return cand
-    raise RuntimeError(f"no irreducible polynomial of degree {m}")  # unreachable
+    """The least irreducible polynomial of degree m; every degree has one."""
+    return next(c for c in range(1 << m, 1 << (m + 1)) if is_irreducible(c, m))
 
 
 class GaloisField:

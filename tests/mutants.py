@@ -6,7 +6,8 @@ the old text in the file replaced by the new, the test must fail.
 `test_package.py` checks that every old text still occurs exactly once
 and that every named test exists, so the list cannot go stale.  Running
 the mutants is not part of the suite; this script does it, each on a
-fresh copy of `src` and `tests` in a temporary directory:
+fresh copy of `src` and `tests` in a temporary directory, and exits 1
+when any mutant survives:
 
     python tests/mutants.py
 """
@@ -77,6 +78,36 @@ MUTANTS = [
      "        os.replace(tmp, target)\n",
      "        os.unlink(tmp)\n",
      "tests/test_cli.py::test_dual_round_trip"),
+    # a new row's pivot would stay set in the older rows
+    ("src/bentkit/constructions.py",
+     "                rows = sorted([min(r, r ^ v) for r in rows] + [v], reverse=True)\n",
+     "                rows = sorted(rows + [v], reverse=True)\n",
+     "tests/test_constructions.py::test_linear_subspace_canonical_basis"),
+    # the complement's vectors would lose their pivot terms
+    ("src/bentkit/constructions.py",
+     "            1 << c | sum(p for r, p in zip(self.basis, pivots) if r >> c & 1)\n",
+     "            1 << c\n",
+     "tests/test_constructions.py::test_linear_subspace_orthogonal"),
+    # every oracle verdict but the Walsh one would read as agreement
+    ("src/bentkit/oracle.py",
+     "    if fast != slow:\n",
+     "    if False:\n",
+     "tests/test_oracle.py::test_verifiers_report_a_disagreeing_fast_path"),
+    # the int16 stages: the odd rows would keep stale values, ...
+    ("src/bentkit/core.py",
+     "    dst.reshape(-1, 2, h)[:, 1] = tmp.reshape(-1, 2, h)[:, 1]\n",
+     "",
+     "tests/test_core.py::test_walsh_agrees_with_the_reference_butterfly"),
+    # ... the even rows would hold differences, ...
+    ("src/bentkit/core.py",
+     "    np.add(src[:-h], src[h:], out=dst[:-h])\n",
+     "    np.subtract(src[:-h], src[h:], out=dst[:-h])\n",
+     "tests/test_core.py::test_walsh_agrees_with_the_reference_butterfly"),
+    # ... and the widening would copy the older work block
+    ("src/bentkit/core.py",
+     "            out[lo:hi] = x\n",
+     "            out[lo:hi] = y\n",
+     "tests/test_core.py::test_walsh_agrees_with_the_reference_butterfly"),
 ]
 
 # Equivalent mutants, which no test can kill, so none is listed above:
@@ -86,6 +117,9 @@ MUTANTS = [
 #   Parseval's identity the 2^n squares sum to 4^n, so max|W|^2 is at
 #   least 2^n and support * max|W|^2 at least 4^n; neither product can
 #   fall below its target.
+# - walsh_transform's `_BYTE_WALSH.take(..., mode="clip")` in the default
+#   mode: every index is a byte, within the table's 256 rows, so only
+#   the buffering of `out` changes.
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -110,5 +144,9 @@ def killed(mutant) -> bool:
 
 
 if __name__ == "__main__":
+    survived = False
     for mutant in MUTANTS:
-        print("killed " if killed(mutant) else "SURVIVED", mutant[0], mutant[3], flush=True)
+        dead = killed(mutant)
+        survived |= not dead
+        print("killed " if dead else "SURVIVED", mutant[0], mutant[3], flush=True)
+    sys.exit(1 if survived else 0)

@@ -1,3 +1,4 @@
+import itertools
 import re
 import tracemalloc
 from functools import partial
@@ -89,6 +90,44 @@ def test_linear_subspace_orthogonal():
     assert orth.dim == 2
     assert all(bin(v & 0b011).count("1") % 2 == 0 for v in orth.members())
     assert LinearSubspace.zero(3).orthogonal() == LinearSubspace.full(3)
+
+
+def _reduced_basis(members):
+    """The reduced echelon basis of a subspace given by its members: the
+    pivots are the top bits of the nonzero members, and each pivot's row
+    is the member with that top bit and no other pivot bit."""
+    pivots = sum({1 << (v.bit_length() - 1) for v in members if v})
+    rows = [v for v in members if v and v & pivots == 1 << (v.bit_length() - 1)]
+    return tuple(sorted(rows, reverse=True))
+
+
+def test_linear_subspace_matches_a_brute_force_reference():
+    # every list of up to three vectors in F_2^k for k <= 4: the span and
+    # its complement by brute force, each read back as a reduced basis
+    lists = 0
+    for k in range(1, 5):
+        for size in range(4):
+            for vectors in itertools.product(range(1 << k), repeat=size):
+                span = {0}
+                for v in vectors:
+                    span |= {w ^ v for w in span}
+                perp = {w for w in range(1 << k)
+                        if all((w & v).bit_count() % 2 == 0 for v in span)}
+                s = LinearSubspace(k, vectors)
+                assert s.basis == _reduced_basis(span), vectors
+                assert s.orthogonal().basis == _reduced_basis(perp), vectors
+                assert {w for w in range(1 << k) if s.contains(w)} == span
+                lists += 1
+    assert lists == 15 + 85 + 585 + 4369
+
+
+def test_linear_subspace_complement_of_the_complement_at_k13():
+    rng = XorShift64Star(45)
+    for _ in range(20):
+        s = LinearSubspace(13, [rng.randrange(1 << 13) for _ in range(rng.randint(0, 14))])
+        perp = s.orthogonal()
+        assert s.dim + perp.dim == 13
+        assert perp.orthogonal() == s
 
 
 # -- M-M -------------------------------------------------------------------

@@ -21,6 +21,11 @@ def test_irreducibility_check():
     assert not is_irreducible(0b110, 2)  # X(X+1)
 
 
+def test_irreducibility_needs_the_degree_asked():
+    # X^2+X+1 is irreducible, but it is no polynomial of degree 3
+    assert not is_irreducible(0b111, 3)
+
+
 def test_gf4_multiplication_table():
     gf = GaloisField(2)
     # 2 is the class of X; X*X = X+1 under X^2+X+1

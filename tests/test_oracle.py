@@ -1,4 +1,5 @@
 import itertools
+import json
 import re
 import tracemalloc
 
@@ -13,6 +14,7 @@ from bentkit import (
     nonlinearity,
     resiliency_by_definition,
     resiliency_report,
+    serialize_truth_table,
     walsh_transform,
 )
 from bentkit.oracle import (
@@ -235,6 +237,46 @@ def test_verify_walsh_reports_a_divergence_at_w0_only(monkeypatch):
     monkeypatch.setattr(oracle, "walsh_transform", negated_w0)
     report = verify_walsh(random_function(6, XorShift64Star(3)))
     assert report == oracle.OracleReport("walsh", False, (0, 8, -8))
+
+
+# x3 + x4 on four variables: nonlinearity 0, 1-resilient, not bent
+X3_X4 = BooleanFunction.linear(4, 0b0011)
+
+
+@pytest.mark.parametrize("verifier, fast, skew, divergence", [
+    pytest.param(verify_nonlinearity, "nonlinearity", lambda nl: nl + 2, (None, 2, 0),
+                 id="nonlinearity"),
+    pytest.param(verify_bent, "is_bent", lambda bent: not bent, (None, True, False),
+                 id="bent"),
+    pytest.param(verify_resiliency, "resiliency_report",
+                 lambda report: report._replace(resiliency=report.resiliency + 1),
+                 (None, 2, 1), id="resiliency"),
+])
+def test_verifiers_report_a_disagreeing_fast_path(monkeypatch, verifier, fast, skew, divergence):
+    # verify_resiliency stops at this first comparison: is_resilient never runs
+    from bentkit import oracle
+
+    def refuse(f, r):
+        raise AssertionError("is_resilient ran after a divergence")
+
+    real = getattr(oracle, fast)
+    monkeypatch.setattr(oracle, fast, lambda f: skew(real(f)))
+    monkeypatch.setattr(oracle, "is_resilient", refuse)
+    subject = verifier.__name__.removeprefix("verify_")
+    assert verifier(X3_X4) == oracle.OracleReport(subject, False, divergence)
+
+
+def test_verify_command_exits_1_when_the_fast_path_disagrees(monkeypatch, tmp_path, capsys):
+    from bentkit import cli, oracle
+
+    real = oracle.nonlinearity
+    monkeypatch.setattr(oracle, "nonlinearity", lambda f: real(f) + 2)
+    path = tmp_path / "f.tt"
+    path.write_text(serialize_truth_table(X3_X4))
+    assert cli.main(["verify", "--property", "nonlinearity", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "subject": "nonlinearity", "agreed": False, "first_divergence": [None, 2, 0],
+    }
 
 
 def test_caps():
