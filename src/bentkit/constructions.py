@@ -23,7 +23,8 @@ import numpy as np
 
 from .analysis import dual, is_bent, is_resilient, nonlinearity, walsh_transform
 from .core import (
-    MAX_VARS, BooleanFunction, _integer, _mask_bytes, _pack_bits, _table_bytes,
+    MAX_VARS, BooleanFunction, _doubling_table, _integer, _mask_bytes, _pack_bits,
+    _table_bytes,
 )
 from .errors import PremiseError
 from .galois import GaloisField
@@ -88,7 +89,9 @@ class PermutationMap:
 
     @classmethod
     def identity(cls, k: int) -> "PermutationMap":
-        return cls(range(1 << _integer(k, "k", 1, MAX_VARS)))
+        """The identity of F_2^k, k at most MAX_VARS / 2: a map with r = k
+        feeds only builders of 2k variables."""
+        return cls(range(1 << _integer(k, "k", 1, MAX_VARS // 2)))
 
     @property
     def is_permutation(self) -> bool:
@@ -184,12 +187,12 @@ def mm_function(
     check_total(phi.r + phi.k)
     if require_bent and not phi.is_permutation:
         raise PremiseError("bent M-M functions need a Boolean permutation")
-    imgs = np.array(phi.images, dtype=np.uint32)
-    x = np.arange(1 << phi.r, dtype=np.uint32)
-    table = np.bitwise_count(np.bitwise_and.outer(x, imgs))
-    table &= 1
-    table ^= u.values()
-    return BooleanFunction(phi.r + phi.k, _pack_bits(table.reshape(-1)))
+    # row x of the table is u XOR line s for each set bit s of x, line s
+    # the row y -> bit s of phi(y)
+    bits = np.array(phi.images) >> np.arange(phi.r)[:, None] & 1
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    lines = [int.from_bytes(line, "little") for line in packed]
+    return BooleanFunction(phi.r + phi.k, _doubling_table(u.mask, 1 << phi.k, lines))
 
 
 def psap_bent(field: GaloisField, theta: Sequence[int]) -> BooleanFunction:

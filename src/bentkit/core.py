@@ -74,14 +74,23 @@ def _unpack_bits(mask: int, n: int) -> np.ndarray:
     return np.unpackbits(_mask_bytes(mask, n), bitorder="little")[: 1 << n]
 
 
-def _build_coordinate_mask(n: int, s: int) -> int:
-    """Packed table of the indices in [0, 2^n) whose bit s is set."""
-    width = 2 << s
-    m = ((1 << (1 << s)) - 1) << (1 << s)  # one period: 2^s zeros, 2^s ones
-    while width < 1 << n:
-        m |= m << width
-        width *= 2
-    return m
+def _doubling_table(first: int, width: int, lines: Sequence[int]) -> int:
+    """The packed table of 2^len(lines) rows of `width` bits, a power of
+    two: row x is `first` XOR line s for every set bit s of x.  Step s
+    copies the 2^s rows so far above themselves, XORed with line s
+    repeated over every row.  A line repeats as bytes: a row of under a
+    byte is first repeated to fill one, and cut to the table while the
+    table is under a byte."""
+    unit = max(width, 8)  # the bits of one repeat: a row, or a byte of rows
+    size, fill = unit // 8, ((1 << unit) - 1) // ((1 << width) - 1)
+    table = first
+    for s, line in enumerate(lines):
+        span = width << s
+        if line:  # a zero line, as most of a coordinate mask's are, repeats as 0
+            head = (line * fill & ((1 << min(span, unit)) - 1)).to_bytes(size, "little")
+            line = int.from_bytes(head * -(-span // unit), "little")
+        table |= (table ^ line) << span
+    return table
 
 
 # the n coordinate masks of each n up to _MASKED_VARS, about 0.25 MiB in all
@@ -90,13 +99,13 @@ _COORDINATE_MASKS: dict[int, list[int]] = {}
 
 
 def _coordinate_mask(n: int, s: int) -> int:
-    """_build_coordinate_mask(n, s), kept for n up to _MASKED_VARS."""
+    """The packed table of x -> bit s of x, linear(n, 1 << s), kept for n
+    up to _MASKED_VARS."""
     if n > _MASKED_VARS:
-        return _build_coordinate_mask(n, s)
-    masks = _COORDINATE_MASKS.get(n)
-    if masks is None:
-        masks = _COORDINATE_MASKS[n] = [_build_coordinate_mask(n, j) for j in range(n)]
-    return masks[s]
+        return BooleanFunction.linear(n, 1 << s).mask
+    if n not in _COORDINATE_MASKS:
+        _COORDINATE_MASKS[n] = [BooleanFunction.linear(n, 1 << j).mask for j in range(n)]
+    return _COORDINATE_MASKS[n][s]
 
 
 def _nibble_select(p: int, b: int) -> bytes:
@@ -169,11 +178,8 @@ class BooleanFunction:
         """The affine function x -> mask.x (+ const), mask index-encoded."""
         n = _integer(n, "variable count", 1, MAX_VARS)
         mask = _integer(mask, "linear mask", 0, (1 << n) - 1)
-        table = ((1 << (1 << n)) - 1) * _integer(const, "constant", 0, 1)
-        for s in range(n):
-            if (mask >> s) & 1:
-                table ^= _coordinate_mask(n, s)
-        return cls(n, table)
+        const = _integer(const, "constant", 0, 1)
+        return cls(n, _doubling_table(const, 1, [mask >> s & 1 for s in range(n)]))
 
     # -- basic accessors ----------------------------------------------
 

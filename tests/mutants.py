@@ -6,17 +6,23 @@ the old text in the file replaced by the new, the test must fail.
 `test_package.py` checks that every old text still occurs exactly once
 and that every named test exists, so the list cannot go stale.  Running
 the mutants is not part of the suite; this script does it, each on a
-fresh copy of `src` and `tests` in a temporary directory, and exits 1
-when any mutant survives:
+fresh copy of `src` and `tests` in a temporary directory, writes one
+record per mutant (file, texts, test, verdict, seconds) to MUTANTS.json
+at the repository root, and exits 1 when any mutant survives:
 
     python tests/mutants.py
+
+`test_package.py` also checks that MUTANTS.json records exactly these
+mutants, each killed.
 """
 
+import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 # where both butterfly mutants act: the last column chunk of every in-place
@@ -108,6 +114,21 @@ MUTANTS = [
      "            out[lo:hi] = x\n",
      "            out[lo:hi] = y\n",
      "tests/test_core.py::test_walsh_agrees_with_the_reference_butterfly"),
+    # the doubling kernel: each copy would lose its line, ...
+    ("src/bentkit/core.py",
+     "        table |= (table ^ line) << span\n",
+     "        table |= table << span\n",
+     "tests/test_constructions.py::test_mm_agrees_with_the_parity_table"),
+    # ... or keep it in its first row only
+    ("src/bentkit/core.py",
+     '            line = int.from_bytes(head * -(-span // unit), "little")\n',
+     '            line = int.from_bytes(head, "little")\n',
+     "tests/test_constructions.py::test_mm_agrees_with_the_parity_table"),
+    # a product term would be ORed into the rows, not added
+    ("src/bentkit/constructions.py",
+     "        rows ^= np.bitwise_and.outer(column(p), row(q))\n",
+     "        rows |= np.bitwise_and.outer(column(p), row(q))\n",
+     "tests/test_constructions.py::test_indirect_tables_match_the_bit_formula"),
 ]
 
 # Equivalent mutants, which no test can kill, so none is listed above:
@@ -144,9 +165,14 @@ def killed(mutant) -> bool:
 
 
 if __name__ == "__main__":
-    survived = False
+    records = []
     for mutant in MUTANTS:
+        start = time.perf_counter()
         dead = killed(mutant)
-        survived |= not dead
-        print("killed " if dead else "SURVIVED", mutant[0], mutant[3], flush=True)
-    sys.exit(1 if survived else 0)
+        path, old, new, test = mutant
+        records.append({"file": path, "old": old, "new": new, "test": test,
+                        "verdict": "killed" if dead else "survived",
+                        "seconds": round(time.perf_counter() - start, 1)})
+        print("killed " if dead else "SURVIVED", path, test, flush=True)
+    (ROOT / "MUTANTS.json").write_text(json.dumps(records, indent=1) + "\n")
+    sys.exit(0 if all(r["verdict"] == "killed" for r in records) else 1)

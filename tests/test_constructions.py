@@ -154,6 +154,41 @@ def test_mm_resilient_wide_map():
     assert nonlinearity(f) == 112
 
 
+def reference_mm(phi, u):
+    """The M-M table from the parity of x & phi(y), entry by entry, through
+    a uint32 outer table of all 2^(r+k) entries."""
+    x = np.arange(1 << phi.r, dtype=np.uint32)
+    table = np.bitwise_count(np.bitwise_and.outer(x, np.array(phi.images, np.uint32))) & 1
+    return BooleanFunction(phi.r + phi.k, (table ^ u.values()).reshape(-1))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_mm_agrees_with_the_parity_table(k):
+    # every r from 1 to 10, so r = k and r != k, with rows of under a byte
+    # at k <= 2; seeded maps and u, and a permutation at r = k
+    rng = XorShift64Star(4600 + k)
+    for r in range(1, 11):
+        maps = [PermutationMap([rng.bits(r) for _ in range(1 << k)], r) for _ in range(2)]
+        if r == k:
+            maps.append(random_permutation(k, rng))
+        for phi in maps:
+            u = random_function(k, rng)
+            assert mm_function(phi, u) == reference_mm(phi, u), (k, r)
+
+
+def test_mm_allocates_a_few_packed_tables_at_26_variables():
+    # the output packs into 8 MiB; a uint32 entry per point would be 256 MiB
+    phi, u = PermutationMap.identity(13), BooleanFunction.zero(13)
+    tracemalloc.start()
+    try:
+        f = mm_function(phi, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * (1 << 23), peak / (1 << 23)
+    assert f.weight == (1 << 25) - (1 << 12)  # x.y is bent: 2^(n-1) - 2^(n/2-1)
+
+
 # -- PS_ap -----------------------------------------------------------------
 
 
@@ -1354,6 +1389,8 @@ def test_is_bent_answers_odd_counts_without_a_spectrum(monkeypatch):
                  "vector must be in [0, 3], got 7", id="subspace-contains"),
     pytest.param(lambda: PermutationMap([1, 0, 3, 2])(-1), ValueError,
                  "index must be in [0, 3], got -1", id="map-negative-point"),
+    pytest.param(lambda: PermutationMap.identity(14), ValueError,
+                 "k must be in [1, 13], got 14", id="identity-k"),
     pytest.param(lambda: mm_function(PermutationMap.identity(2), BooleanFunction.zero(3)),
                  ValueError, "u must have 2 variables, got 3", id="mm-u-size"),
     pytest.param(lambda: psap_bent(GaloisField(2), [0, 1, 2, 1]), ValueError,

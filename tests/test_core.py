@@ -81,7 +81,6 @@ def test_coordinate_masks_are_kept_up_to_sixteen_variables():
         index = np.arange(1 << n)
         for s in range(n):
             want = core._pack_bits(index >> s & 1)
-            assert core._build_coordinate_mask(n, s) == want, (n, s)
             assert core._coordinate_mask(n, s) == want, (n, s)
     assert max(core._COORDINATE_MASKS) == 16
 

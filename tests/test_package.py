@@ -4,6 +4,7 @@ its OpenBLAS thread default."""
 import argparse
 import ast
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -66,6 +67,16 @@ def test_every_mutant_names_one_place_and_a_test():
         assert new != old
         test_file, name = test.split("::")
         assert f"\ndef {name}(" in (ROOT / test_file).read_text(), test
+
+
+def test_mutation_record_names_every_mutant_killed():
+    # `python tests/mutants.py` rewrites the record; a mutant added,
+    # changed or dropped without a new run shows here
+    from mutants import MUTANTS
+
+    records = json.loads((ROOT / "MUTANTS.json").read_text())
+    assert [(r["file"], r["old"], r["new"], r["test"]) for r in records] == MUTANTS
+    assert {r["verdict"] for r in records} == {"killed"}
 
 
 def test_every_old_export_resolves():
